@@ -1,7 +1,7 @@
 """Spectral bundle solvers for semidefinite programs in penalized dual form."""
 
-from .linops import (ConstraintMap, DimensionError, RankError, is_orthonormal,
-                     opnorm_adjoint, orthonormalize, symmetrize, top_eigs)
+from .linops import (ConstraintMap, DimensionError, RankError, orthonormalize,
+                     symmetrize, top_eigs)
 from .model import (Aggregate, SdpProblem, dual_objective, model_value,
                     objective_with_spectrum, simple_model_value, zero_aggregate)
 from .subproblem import (InnerProblem, InnerSolution, project_psd_simplex_hull,
@@ -9,8 +9,7 @@ from .subproblem import (InnerProblem, InnerSolution, project_psd_simplex_hull,
                          solve_subproblem)
 from .bundle import (BundleState, InvariantReport, IterationRecord, RunResult,
                      SolverConfig, init_state, is_descent_step,
-                     membership_certificates, run, step, step_block, step_hr,
-                     step_hybrid, stopping_metric)
+                     membership_certificates, run, step, stopping_metric)
 from .sketch import (LowRankFactors, SketchState, gaussian_matrix, sketch_init,
                      sketch_reconstruct, sketch_scale, sketch_update)
 
@@ -21,11 +20,10 @@ __all__ = [
     "InnerProblem", "InnerSolution", "InvariantReport", "IterationRecord",
     "LowRankFactors", "RankError", "RunResult", "SdpProblem", "SketchState",
     "SolverConfig", "dual_objective", "gaussian_matrix", "init_state",
-    "is_descent_step", "is_orthonormal", "membership_certificates",
-    "model_value", "objective_with_spectrum", "opnorm_adjoint",
-    "orthonormalize", "project_psd_simplex_hull", "project_simplex_hull",
-    "run", "simple_model_value", "sketch_init", "sketch_reconstruct",
-    "sketch_scale", "sketch_update", "solve_inner_apg", "solve_inner_rank1",
-    "solve_subproblem", "step", "step_block", "step_hr", "step_hybrid",
-    "stopping_metric", "symmetrize", "top_eigs", "zero_aggregate",
+    "is_descent_step", "membership_certificates", "model_value",
+    "objective_with_spectrum", "orthonormalize", "project_psd_simplex_hull",
+    "project_simplex_hull", "run", "simple_model_value", "sketch_init",
+    "sketch_reconstruct", "sketch_scale", "sketch_update", "solve_inner_apg",
+    "solve_inner_rank1", "solve_subproblem", "step", "stopping_metric",
+    "symmetrize", "top_eigs", "zero_aggregate",
 ]

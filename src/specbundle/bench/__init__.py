@@ -6,8 +6,7 @@ from .problems import (CompletionInstance, GraphInstance, ParseError,
                        gen_completion, gen_er_graph, read_gset,
                        read_observations, triangle_graph)
 from .reference import (ReferenceValues, completion_reference,
-                        dual_subgradient_bound, maxcut_factor_ascent,
-                        maxcut_reference, numerical_rank)
+                        maxcut_factor_ascent, maxcut_reference, numerical_rank)
 from .metrics import MetricsReport, compute_metrics, metrics_from_run
 from .verify import (CheckResult, VerifyReport, check_descent_bounds,
                      check_recorded_invariants, check_spectral_accuracy,
@@ -20,8 +19,8 @@ __all__ = [
     "ParseError", "ReferenceValues", "TraceFormatError", "VerifyReport",
     "build_completion", "build_maxcut", "check_descent_bounds",
     "check_recorded_invariants", "check_spectral_accuracy",
-    "completion_reference", "compute_metrics", "dual_subgradient_bound",
-    "embed_completion", "gen_completion", "gen_er_graph",
+    "completion_reference", "compute_metrics", "embed_completion",
+    "gen_completion", "gen_er_graph",
     "maxcut_factor_ascent", "maxcut_reference", "metrics_from_run",
     "numerical_rank", "read_gset", "read_observations", "read_summary",
     "read_trace", "sample_gapped_matrix", "spectral_truncation_gap",

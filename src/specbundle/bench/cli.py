@@ -126,7 +126,7 @@ def _config_from_args(args, variant, rbar):
     return SolverConfig(
         variant=variant, beta=args.beta, rho=args.rho, rbar=rbar,
         hr_keep=args.hr_keep, max_iters=args.max_iters,
-        inner_tol=args.inner_tol, inner_max_iter=args.inner_max_iter,
+        inner_max_iter=args.inner_max_iter,
         storage=storage, sketch_rank=sketch_rank,
         target_gap=args.target_gap, seed=args.seed,
         check_invariants=args.check_invariants,
@@ -156,7 +156,6 @@ def _add_solver_flags(p):
     p.add_argument("--hr-keep", type=int, default=None,
                    help="recycled eigenvectors for hr/hybrid (default rbar-1)")
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--inner-tol", type=float, default=None)
     p.add_argument("--inner-max-iter", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-gap", type=float, default=0.0,
@@ -217,10 +216,13 @@ def cmd_verify(args):
         raise ValueError("no reference values: pass --ref or solve with --auto-ref")
     alpha = args.alpha if args.alpha is not None else summary.get("alpha_effective")
     if alpha is None:
-        alpha = summary["config"].get("alpha")
-    if alpha is None:
         raise ValueError("summary does not record the penalty; pass --alpha")
-    conf = summary["config"]
+    conf = summary.get("config") or {}
+    missing = [f"config.{k}" for k in ("rho", "beta") if conf.get(k) is None]
+    if summary.get("max_norm_y") is None:
+        missing.append("max_norm_y")
+    if missing:
+        raise ValueError(f"{args.summary}: summary lacks {', '.join(missing)}")
     rep = VerifyReport()
     rep.checks += check_descent_bounds(records, refs, conf["rho"], conf["beta"],
                                        float(alpha), summary["max_norm_y"],

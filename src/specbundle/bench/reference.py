@@ -9,20 +9,13 @@ Two sources, recorded with provenance:
   Every iterate is exactly feasible for the relaxation, so the value is a
   rigorous lower bound on the SDP optimum and the reported gaps of a dual
   method can only be overestimated, never flattered.
-
-A plain subgradient descent on the penalized dual is included as a
-cross-check upper bound; it is far less accurate and never defines the
-reference value on its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-
-from ..model import dual_objective, objective_with_spectrum
-from ..bundle import subgradient_at
 
 
 @dataclass
@@ -34,7 +27,6 @@ class ReferenceValues:
     nuc:    nuclear norm of the reference primal solution.
     rank:   its numerical rank.
     provenance: how the numbers were produced.
-    f_upper: independent upper bound on d_star when available.
     """
 
     d_star: float
@@ -42,17 +34,22 @@ class ReferenceValues:
     nuc: float
     rank: int
     provenance: str
-    f_upper: float | None = None
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        known = {f: d[f] for f in
-                 ("d_star", "p_star", "nuc", "rank", "provenance") if f in d}
-        known["f_upper"] = d.get("f_upper")
-        return cls(**known)
+        """Inverse of ``to_dict``; unknown keys are ignored.  Raises
+        ValueError when ``d`` is not a mapping or lacks a field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"reference values must be a JSON object, "
+                             f"got {type(d).__name__}")
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in d]
+        if missing:
+            raise ValueError(f"reference values lack {', '.join(missing)}")
+        return cls(**{n: d[n] for n in names})
 
 
 def maxcut_factor_ascent(L, factor_rank=None, sweeps=4000, tol=1e-13, seed=0):
@@ -93,27 +90,21 @@ def numerical_rank(X, rel_tol=1e-6):
     return int(np.sum(vals > rel_tol * top))
 
 
-def maxcut_reference(g, sweeps=4000, seed=0, prob=None, polish_iters=0):
+def maxcut_reference(g, sweeps=4000, seed=0):
     """Reference values for a max-cut instance from the factor oracle.
 
     The oracle value lower-bounds the SDP optimum; any feasible X has
-    trace n, fixing the nuclear norm.  When ``prob`` is given with
-    positive ``polish_iters``, a penalized dual subgradient descent is
-    run as an independent upper-bound cross-check.
+    trace n, fixing the nuclear norm.
     """
     L = g.laplacian()
     R, value = maxcut_factor_ascent(L, sweeps=sweeps, seed=seed)
     X = R @ R.T
-    f_upper = None
-    if prob is not None and polish_iters > 0:
-        f_upper = dual_subgradient_bound(prob, iters=polish_iters)
     return ReferenceValues(
         d_star=value,
         p_star=-value,
         nuc=float(g.n),
         rank=numerical_rank(X),
         provenance=(f"factor coordinate ascent, {sweeps} sweep budget, seed {seed}"),
-        f_upper=f_upper,
     ), X
 
 
@@ -133,26 +124,3 @@ def completion_reference(inst):
         rank=rank,
         provenance="closed form from the planted factorization",
     )
-
-
-def dual_subgradient_bound(prob, iters=20000, seed=0, step_scale=None):
-    """Best value of a plain subgradient descent on the penalized dual.
-
-    Classical O(1/sqrt(t)) scheme with steps c / (sqrt(t) ||g||); loose,
-    but an unconditional upper bound on the dual optimum, useful to
-    bracket the factor oracle from the other side.
-    """
-    m = prob.m
-    y = np.zeros(m)
-    best = dual_objective(prob, y)
-    if step_scale is None:
-        step_scale = 1.0 + float(np.linalg.norm(prob.b))
-    for t in range(1, iters + 1):
-        F, vals, vecs = objective_with_spectrum(prob, y, 1)
-        best = min(best, F)
-        g = subgradient_at(prob, float(vals[0]), vecs[:, 0])
-        ng = float(np.linalg.norm(g))
-        if ng == 0.0:
-            break
-        y = y - (step_scale / (np.sqrt(t) * ng)) * g
-    return float(best)

@@ -54,13 +54,9 @@ def read_trace(path):
     if not rows:
         raise TraceFormatError(f"{path}: empty trace")
     header = rows[0]
-    base = ["t", "F_y", "F_z", "Fbar_z", "descent", "feas", "lammin",
-            "pval", "dval", "step"]
-    if header[:10] != base or header[-1:] != ["inner_res"]:
+    ngap = len(header) - len(trace_header(0))
+    if ngap < 0 or header != trace_header(ngap):
         raise TraceFormatError(f"{path}: unexpected header {header!r}")
-    ngap = len(header) - 11
-    if [h for h in header[10:-1]] != [f"gap{r}" for r in range(1, ngap + 1)]:
-        raise TraceFormatError(f"{path}: unexpected gap columns in {header!r}")
     records = []
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -91,8 +87,7 @@ def summary_dict(cfg, result, refs=None, metrics=None, problem_label="",
         "config": {
             "variant": cfg.variant, "beta": cfg.beta, "rho": cfg.rho,
             "rbar": cfg.rbar, "hr_keep": cfg.resolved_hr_keep(),
-            "alpha": cfg.alpha, "max_iters": cfg.max_iters,
-            "inner_tol": cfg.inner_tol, "inner_max_iter": cfg.inner_max_iter,
+            "max_iters": cfg.max_iters, "inner_max_iter": cfg.inner_max_iter,
             "storage": cfg.storage, "sketch_rank": cfg.sketch_rank,
             "target_gap": cfg.target_gap, "seed": cfg.seed,
             "check_invariants": cfg.check_invariants,

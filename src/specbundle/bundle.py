@@ -26,13 +26,13 @@ so the recycled-cut certificates below stay inside the trace-capped set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .linops import orthonormalize, symmetrize, top_eigs
-from .model import (Aggregate, SdpProblem, dual_objective, model_value,
+from .linops import orthonormalize, symmetrize
+from .model import (Aggregate, dual_objective, model_value,
                     objective_with_spectrum, simple_model_value, zero_aggregate)
 from .sketch import sketch_init, sketch_reconstruct, sketch_scale, sketch_update
 from .subproblem import solve_subproblem
@@ -47,9 +47,7 @@ class SolverConfig:
 
     hr_keep is the number of leading eigenvectors of S recycled into the
     next basis by the hr and hybrid rules; defaults to rbar - 1 so the hr
-    bundle width settles at rbar.  alpha, when set, overrides the trace
-    penalty carried by the problem (handy for sweeps).  target_gap stops
-    the run once
+    bundle width settles at rbar.  target_gap stops the run once
         max(feas/(1+|b|), gap/(1+|<b,y>|), dual infeasibility)
     drops below it; 0 disables early stopping.
     """
@@ -59,16 +57,13 @@ class SolverConfig:
     rho: float = 1.0
     rbar: int = 1
     hr_keep: int | None = None
-    alpha: float | None = None
     max_iters: int = 200
-    inner_tol: float | None = None
     inner_max_iter: int = 5000
     storage: str = "explicit"
     sketch_rank: int | None = None
     target_gap: float = 0.0
     seed: int = 0
     check_invariants: bool = False
-    probes: int = 10
 
     def resolved_hr_keep(self):
         return self.rbar - 1 if self.hr_keep is None else self.hr_keep
@@ -89,8 +84,6 @@ class SolverConfig:
             raise ValueError(f"unknown storage mode {self.storage!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.alpha is not None and not (self.alpha > 0):
-            raise ValueError("alpha override must be positive")
         return self
 
 
@@ -140,9 +133,7 @@ class StepInfo:
     F_z: float
     vals: np.ndarray
     vecs: np.ndarray
-    y_prev: np.ndarray
     V_prev: np.ndarray
-    agg_prev: Aggregate
     agg_new: Aggregate
     V_new: np.ndarray
     X_t: np.ndarray | None
@@ -173,7 +164,7 @@ def init_state(prob, cfg, y0=None):
                        F_y=F0, lam1_y=float(vals[0]))
 
 
-def _finished_aggregate(prob, cfg, agg_prev, V, S_part, eta, AX, CX, tr, X):
+def _finished_aggregate(prob, agg_prev, V, S_part, eta, AX, CX, tr, X):
     """Normalize the raw updated aggregate to trace alpha and push the
     same (scaled) update through the sketch."""
     alpha = prob.alpha
@@ -188,15 +179,16 @@ def _finished_aggregate(prob, cfg, agg_prev, V, S_part, eta, AX, CX, tr, X):
     return Aggregate(AX=AX * c, CX=CX * c, tr=alpha, X=X_new, sketch=sk)
 
 
-def _advance(prob, cfg, state, variant):
+def step(prob, cfg, state):
+    """One outer iteration from ``state``; returns (new state, trace
+    record, step info)."""
     V = state.V
     p = V.shape[1]
     warm = state.warm
     if warm is not None and warm[1].shape[0] != p:
         warm = None
     sol = solve_subproblem(prob, state.agg, V, state.y, cfg.rho,
-                           warm=warm, tol=cfg.inner_tol,
-                           max_iter=cfg.inner_max_iter)
+                           warm=warm, max_iter=cfg.inner_max_iter)
     z = sol.z
     k = min(cfg.rbar + 1, prob.n)
     F_z, vals, vecs = objective_with_spectrum(prob, z, k)
@@ -211,9 +203,9 @@ def _advance(prob, cfg, state, variant):
         xt_sketch = sketch_update(state.agg.sketch, sol.eta, V, sol.S)
 
     Q1 = lam_keep = None
-    if variant == "block":
+    if cfg.variant == "block":
         tr_raw = sol.tr
-        agg_new = _finished_aggregate(prob, cfg, state.agg, V, sol.S, sol.eta,
+        agg_new = _finished_aggregate(prob, state.agg, V, sol.S, sol.eta,
                                       sol.AX, sol.CX, sol.tr, X_t)
         V_new = vecs[:, :min(cfg.rbar, prob.n)]
     else:
@@ -228,9 +220,9 @@ def _advance(prob, cfg, state, variant):
         X_raw = None
         if explicit:
             X_raw = sol.eta * state.agg.X + (V @ S_rest) @ V.T
-        agg_new = _finished_aggregate(prob, cfg, state.agg, V, S_rest, sol.eta,
+        agg_new = _finished_aggregate(prob, state.agg, V, S_rest, sol.eta,
                                       AX_raw, CX_raw, tr_raw, X_raw)
-        fresh = vecs[:, :1] if variant == "hr" else vecs[:, :min(cfg.rbar, prob.n)]
+        fresh = vecs[:, :1] if cfg.variant == "hr" else vecs[:, :min(cfg.rbar, prob.n)]
         V_new = orthonormalize(np.hstack([V @ Q1, fresh]))
 
     if descent:
@@ -258,27 +250,10 @@ def _advance(prob, cfg, state, variant):
                             F_y=F_new, lam1_y=lam1_new,
                             warm=(sol.eta, sol.S),
                             descent_steps=state.descent_steps + int(descent))
-    info = StepInfo(sol=sol, F_z=F_z, vals=vals, vecs=vecs, y_prev=state.y,
-                    V_prev=V, agg_prev=state.agg, agg_new=agg_new, V_new=V_new,
-                    X_t=X_t, xt_sketch=xt_sketch, tr_raw=tr_raw,
-                    Q1=Q1, lam_keep=lam_keep)
+    info = StepInfo(sol=sol, F_z=F_z, vals=vals, vecs=vecs, V_prev=V,
+                    agg_new=agg_new, V_new=V_new, X_t=X_t, xt_sketch=xt_sketch,
+                    tr_raw=tr_raw, Q1=Q1, lam_keep=lam_keep)
     return new_state, rec, info
-
-
-def step_block(prob, cfg, state):
-    return _advance(prob, cfg, state, "block")
-
-
-def step_hr(prob, cfg, state):
-    return _advance(prob, cfg, state, "hr")
-
-
-def step_hybrid(prob, cfg, state):
-    return _advance(prob, cfg, state, "hybrid")
-
-
-def step(prob, cfg, state):
-    return _advance(prob, cfg, state, cfg.variant)
 
 
 # ---------------------------------------------------------------------------
@@ -318,19 +293,19 @@ def subgradient_at(prob, lam1, v1):
     return -prob.b.copy()
 
 
-def check_model_dominance(prob, cfg, info, rng, report):
+def check_model_dominance(prob, info, rng, report):
     """At random probes y: the two-cut model stays below the refreshed
     aggregate model, which stays below the true objective."""
     z = info.sol.z
     g = subgradient_at(prob, float(info.vals[0]), info.vecs[:, 0])
     s = -prob.b + info.sol.AX
     scale_z = 1.0 + float(np.linalg.norm(z))
-    for i in range(cfg.probes):
+    for radius in _PROBE_RADII:
         d = rng.standard_normal(prob.m)
         nd = np.linalg.norm(d)
         if nd == 0.0:
             continue
-        y = z + _PROBE_RADII[i % len(_PROBE_RADII)] * scale_z * d / nd
+        y = z + radius * scale_z * d / nd
         sv = simple_model_value(info.F_z, g, s, info.sol.model_at_z, z, y)
         mv = model_value(prob, info.agg_new, info.V_new, y)
         fv = dual_objective(prob, y)
@@ -377,8 +352,8 @@ def membership_certificates(prob, info):
     return err, feas
 
 
-def _update_invariants(prob, cfg, info, rng, report):
-    check_model_dominance(prob, cfg, info, rng, report)
+def _update_invariants(prob, info, rng, report):
+    check_model_dominance(prob, info, rng, report)
     if info.X_t is not None and info.agg_new.X is not None:
         err, feas = membership_certificates(prob, info)
         report.membership_err = max(report.membership_err, err)
@@ -408,10 +383,6 @@ class RunResult:
     primal_factors: object | None
     stats: RunStats
 
-    @property
-    def final(self):
-        return self.records[-1]
-
 
 def stopping_metric(rec, norm_b):
     """max of scaled primal infeasibility, scaled primal-dual gap, and
@@ -424,8 +395,6 @@ def stopping_metric(rec, norm_b):
 def run(prob, cfg, y0=None):
     """Drive one bundle solve to its iteration or accuracy budget."""
     cfg.validate()
-    if cfg.alpha is not None and cfg.alpha != prob.alpha:
-        prob = SdpProblem(C=prob.C, A=prob.A, b=prob.b, alpha=cfg.alpha)
     state = init_state(prob, cfg, y0=y0)
     rng = np.random.default_rng(cfg.seed)
     norm_b = float(np.linalg.norm(prob.b))
@@ -439,14 +408,14 @@ def run(prob, cfg, y0=None):
     last_sketch = None
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
-        state, rec, info = _advance(prob, cfg, state, cfg.variant)
+        state, rec, info = step(prob, cfg, state)
         records.append(rec)
         if not info.sol.converged:
             warnings.append(
                 f"iteration {rec.t}: inner solver stopped at its iteration cap "
                 f"(residual {info.sol.residual:.3e})")
         if report is not None:
-            _update_invariants(prob, cfg, info, rng, report)
+            _update_invariants(prob, info, rng, report)
         max_norm_y = max(max_norm_y, float(np.linalg.norm(state.y)))
         last_X, last_sketch = info.X_t, info.xt_sketch
         if rec.descent:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 
 class DimensionError(ValueError):
@@ -41,14 +40,6 @@ def symmetrize(M):
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
     return 0.5 * (M + M.T)
-
-
-def is_orthonormal(V, tol=1e-10):
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[1] == 0:
-        return False
-    G = V.T @ V
-    return float(np.abs(G - np.eye(V.shape[1])).max()) <= tol
 
 
 def _fix_signs(V):
@@ -130,11 +121,6 @@ class ConstraintMap:
         return np.bincount(self.idx, weights=coeff * X[self.row, self.col],
                            minlength=self.m)
 
-    def apply_factored(self, V, S):
-        """<A_k, V S V^T> for all k without forming the n x n product."""
-        return np.tensordot(self.congruence(V), np.asarray(S, dtype=float),
-                            axes=([1, 2], [0, 1]))
-
     # -- adjoint -------------------------------------------------------
 
     def adjoint(self, y):
@@ -176,19 +162,6 @@ class ConstraintMap:
         np.add.at(T, self.idx, contrib)
         return T
 
-    # -- Gram matrix ---------------------------------------------------
-
-    def gram(self):
-        """Sparse m x m Gram matrix G_ij = <A_i, A_j>."""
-        # vectorize each constraint over the upper triangle, off-diagonal
-        # entries scaled by sqrt(2) so Euclidean inner products match the
-        # symmetric trace inner product
-        scale = np.where(self.row == self.col, 1.0, np.sqrt(2.0)) * self.val
-        flat = self.row * self.n + self.col
-        B = scipy.sparse.csr_matrix((scale, (self.idx, flat)),
-                                    shape=(self.m, self.n * self.n))
-        return (B @ B.T).tocsr()
-
 
 def top_eigs(M, r):
     """Top ``r`` eigenpairs of a dense symmetric matrix, descending.
@@ -225,31 +198,3 @@ def orthonormalize(cols, rel_tol=None):
         rel_tol = max(A.shape) * np.finfo(float).eps
     keep = s > rel_tol * s[0]
     return _fix_signs(U[:, keep])
-
-
-def opnorm_adjoint(map_, rel_tol=1e-8, max_iter=20000, seed=0):
-    """Operator norm of the adjoint map, max_{|y|=1} ||sum y_k A_k||_F.
-
-    Equals sqrt(lambda_max(G)) for the Gram matrix G_ij = <A_i, A_j>;
-    computed by power iteration on G to relative tolerance ``rel_tol``.
-    """
-    G = map_.gram()
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(map_.m)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.ones(map_.m)
-        nv = np.sqrt(map_.m)
-    v /= nv
-    lam = 0.0
-    for _ in range(max_iter):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(nw - lam) <= rel_tol * max(nw, 1e-300):
-            lam = nw
-            break
-        lam = nw
-    return float(np.sqrt(lam))

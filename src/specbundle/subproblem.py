@@ -120,12 +120,20 @@ class InnerInfo:
     residual: float
     iterations: int
     converged: bool
-    lipschitz: float = 0.0
 
 
 def default_inner_tol(b):
     """Stationarity tolerance 1e-9 * (1 + ||b||), scaling with the data."""
     return 1e-9 * (1.0 + float(np.linalg.norm(b)))
+
+
+def _stationarity_residual(ip, e, Ss):
+    """Distance moved by a unit-step projected gradient from the scaled
+    point (e, Ss) = (eta, S/alpha); zero exactly at a minimizer."""
+    a = ip.alpha
+    ge, gS = ip.gradient(e, a * Ss)
+    r_e, r_S = project_psd_simplex_hull(e - ge, Ss - a * gS)
+    return np.sqrt((e - r_e) ** 2 + float(np.sum((Ss - r_S) ** 2)))
 
 
 def _quadratic_lipschitz(ip, rel_tol=1e-3, max_iter=200, seed=0):
@@ -253,7 +261,7 @@ def _face_polish(ip, e, Ss):
     return out
 
 
-def solve_inner_apg(ip, tol=None, max_iter=5000, warm=None):
+def solve_inner_apg(ip, max_iter=5000, warm=None):
     """Accelerated projected gradient on the subproblem quadratic.
 
     Works in scaled variables (eta, S/alpha) so the feasible set is the
@@ -263,10 +271,9 @@ def solve_inner_apg(ip, tol=None, max_iter=5000, warm=None):
     on the active face, which collapses the tail of the iteration once
     the face has settled.  Returns ``(eta, S, info)``; ``info.converged``
     is False when the iteration cap is hit before the projected-gradient
-    residual drops below tol.
+    residual drops below ``default_inner_tol``.
     """
-    if tol is None:
-        tol = default_inner_tol(ip.b)
+    tol = default_inner_tol(ip.b)
     a = ip.alpha
     p = ip.width
 
@@ -277,15 +284,12 @@ def solve_inner_apg(ip, tol=None, max_iter=5000, warm=None):
         de, dS = ip.gradient(e, a * Ss)
         return de, a * dS
 
-    def proj(e, Ss):
-        return project_psd_simplex_hull(e, Ss)
-
     L = _quadratic_lipschitz(ip)
     L = max(L * 1.05, 1e-12)
 
     if warm is not None:
         eta_w, S_w = warm
-        x_e, x_S = proj(float(eta_w), np.asarray(S_w, dtype=float) / a)
+        x_e, x_S = project_psd_simplex_hull(float(eta_w), np.asarray(S_w, dtype=float) / a)
     else:
         x_e, x_S = 1.0, np.zeros((p, p))
     fx = g_val(x_e, x_S)
@@ -298,7 +302,7 @@ def solve_inner_apg(ip, tol=None, max_iter=5000, warm=None):
         # backtracking: halve the step (double L) on failed descent check
         base = g_val(e, Ss)
         for _ in range(80):
-            c_e, c_S = proj(e - ge / L, Ss - gS / L)
+            c_e, c_S = project_psd_simplex_hull(e - ge / L, Ss - gS / L)
             d_e, d_S = c_e - e, c_S - Ss
             quad = base + ge * d_e + float(np.sum(gS * d_S)) \
                 + 0.5 * L * (d_e * d_e + float(np.sum(d_S * d_S)))
@@ -307,12 +311,6 @@ def solve_inner_apg(ip, tol=None, max_iter=5000, warm=None):
                 return c_e, c_S, fc, L
             L *= 2.0
         return c_e, c_S, fc, L
-
-    def residual_at(e, Ss):
-        # stationarity: distance moved by a unit-step projected gradient
-        ge, gS = g_grad(e, Ss)
-        r_e, r_S = proj(e - ge, Ss - gS)
-        return np.sqrt((e - r_e) ** 2 + float(np.sum((Ss - r_S) ** 2)))
 
     def try_polish(e0, S0, f0, r0, cycles=4):
         """Best face-refined point reachable from (e0, S0); face solves
@@ -334,7 +332,7 @@ def solve_inner_apg(ip, tol=None, max_iter=5000, warm=None):
                 fp = g_val(p_e, p_S)
                 if fp > f_cap:
                     continue
-                rp = residual_at(p_e, p_S)
+                rp = _stationarity_residual(ip, p_e, p_S)
                 if sel is None or rp < sel[0]:
                     sel = (rp, fp, p_e, p_S)
                 if fp < f_drop and (lower is None or fp < lower[1]):
@@ -361,7 +359,7 @@ def solve_inner_apg(ip, tol=None, max_iter=5000, warm=None):
             theta = 1.0
             ge, gS = g_grad(x_e, x_S)
             c_e, c_S, fc, L = pg_step(x_e, x_S, ge, gS, L)
-        res = residual_at(c_e, c_S)
+        res = _stationarity_residual(ip, c_e, c_S)
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         mom = (theta - 1.0) / theta_next
         w_e = c_e + mom * (c_e - x_e)
@@ -394,7 +392,7 @@ def solve_inner_apg(ip, tol=None, max_iter=5000, warm=None):
                 break
 
     info = InnerInfo(residual=float(res), iterations=it,
-                     converged=bool(res <= tol), lipschitz=L)
+                     converged=bool(res <= tol))
     return float(x_e), symmetrize(a * x_S), info
 
 
@@ -463,7 +461,7 @@ class InnerSolution:
     ip: InnerProblem
 
 
-def solve_subproblem(prob, agg, V, y, rho, warm=None, tol=None, max_iter=5000):
+def solve_subproblem(prob, agg, V, y, rho, warm=None, max_iter=5000):
     """Solve one bundle subproblem and assemble the candidate point.
 
     Uses the exact closed form for width-1 bundles and APG otherwise.
@@ -475,14 +473,10 @@ def solve_subproblem(prob, agg, V, y, rho, warm=None, tol=None, max_iter=5000):
     if ip.width == 1:
         eta, s = solve_inner_rank1(ip)
         S = np.array([[s]])
-        # report the same scaled-space stationarity residual APG would
-        ge, gS = ip.gradient(eta, S)
-        Ss = S / prob.alpha
-        pe, pS = project_psd_simplex_hull(eta - ge, Ss - prob.alpha * gS)
-        res = float(np.sqrt((eta - pe) ** 2 + np.sum((Ss - pS) ** 2)))
+        res = float(_stationarity_residual(ip, eta, S / prob.alpha))
         info = InnerInfo(residual=res, iterations=0, converged=True)
     else:
-        eta, S, info = solve_inner_apg(ip, tol=tol, max_iter=max_iter, warm=warm)
+        eta, S, info = solve_inner_apg(ip, max_iter=max_iter, warm=warm)
 
     AX = eta * agg.AX + np.tensordot(ip.T, S, axes=([1, 2], [0, 1]))
     CX = eta * agg.CX + float(np.sum(S * ip.VCV))

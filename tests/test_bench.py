@@ -14,8 +14,7 @@ from specbundle.bench import (CompletionInstance, GraphInstance, ParseError,
                               build_completion, build_maxcut,
                               check_recorded_invariants,
                               check_spectral_accuracy, completion_reference,
-                              compute_metrics, dual_subgradient_bound,
-                              embed_completion, gen_completion, gen_er_graph,
+                              compute_metrics, embed_completion, gen_completion, gen_er_graph,
                               maxcut_factor_ascent, maxcut_reference,
                               metrics_from_run, numerical_rank,
                               read_gset, read_observations, read_summary,
@@ -154,10 +153,15 @@ def test_maxcut_reference_triangle():
     assert scipy.linalg.eigvalsh(X).min() >= -1e-10
 
 
-def test_dual_subgradient_bound_is_upper_bound():
-    prob = build_maxcut(triangle_graph())
-    ub = dual_subgradient_bound(prob, iters=3000, seed=0)
-    assert 9.0 - 1e-9 <= ub <= 10.0
+def test_reference_values_from_dict():
+    refs = ReferenceValues(d_star=-9.0, p_star=9.0, nuc=3.0, rank=1,
+                           provenance="test")
+    # unknown keys, such as the retired f_upper, are ignored
+    assert ReferenceValues.from_dict({**refs.to_dict(), "f_upper": None}) == refs
+    with pytest.raises(ValueError, match="nuc, rank"):
+        ReferenceValues.from_dict({"d_star": 1.0, "p_star": -1.0, "provenance": ""})
+    with pytest.raises(ValueError, match="JSON object"):
+        ReferenceValues.from_dict([1.0])
 
 
 def test_numerical_rank():
@@ -574,6 +578,38 @@ def test_cli_verify_without_refs_exits_two(tmp_path, capsys):
     rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
     assert rc == 2
     assert "no reference values" in capsys.readouterr().err
+
+
+def test_cli_verify_incomplete_ref_exits_two(tmp_path, capsys):
+    rc, trace, summary = _solve_triangle(tmp_path)
+    assert rc == 0
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"d_star": 1.0}))
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
+               "--ref", str(ref)])
+    assert rc == 2
+    assert "p_star" in capsys.readouterr().err
+
+
+def test_cli_verify_summary_without_max_norm_y_exits_two(tmp_path, capsys):
+    rc, trace, summary = _solve_triangle(tmp_path)
+    assert rc == 0
+    data = read_summary(str(summary))
+    del data["max_norm_y"]
+    write_summary(str(summary), data)
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
+    assert rc == 2
+    assert "max_norm_y" in capsys.readouterr().err
+
+
+def test_cli_plotdata_ref_not_an_object_exits_two(tmp_path, capsys):
+    rc, trace, _ = _solve_triangle(tmp_path)
+    assert rc == 0
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps([1.0, 2.0]))
+    rc = main(["plotdata", "--trace", str(trace), "--ref", str(ref)])
+    assert rc == 2
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_cli_plotdata_needs_some_reference(tmp_path, capsys):

@@ -8,11 +8,10 @@ import scipy.linalg
 from specbundle import (Aggregate, BundleState, ConstraintMap, IterationRecord,
                         SdpProblem, SolverConfig, dual_objective, init_state,
                         is_descent_step, membership_certificates, run, step,
-                        step_block, step_hr, step_hybrid, stopping_metric,
-                        zero_aggregate)
+                        stopping_metric)
 from specbundle.bundle import subgradient_at
 
-from conftest import rand_problem, symm
+from conftest import rand_problem
 
 
 # -- configuration -----------------------------------------------------------
@@ -35,7 +34,6 @@ def test_config_defaults_resolve():
     dict(hr_keep=-1),
     dict(storage="dense"),
     dict(max_iters=0),
-    dict(alpha=0.0),
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
@@ -127,12 +125,12 @@ def _scalar_oracle(params, rho, beta):
                 lammin=-(a * y_new - c))
 
 
-@pytest.mark.parametrize("stepper", [step_block, step_hr, step_hybrid])
+@pytest.mark.parametrize("variant", ["block", "hr", "hybrid"], ids=lambda v: f"step_{v}")
 @pytest.mark.parametrize("rho,beta", [(1.0, 0.25), (0.3, 0.6), (4.0, 0.1)])
-def test_scalar_step_matches_oracle(stepper, rho, beta):
+def test_scalar_step_matches_oracle(variant, rho, beta):
     prob, state, params = _scalar_setup()
-    cfg = SolverConfig(rho=rho, beta=beta, rbar=1)
-    new_state, rec, info = stepper(prob, cfg, state)
+    cfg = SolverConfig(variant=variant, rho=rho, beta=beta, rbar=1)
+    new_state, rec, info = step(prob, cfg, state)
     want = _scalar_oracle(params, rho, beta)
 
     tol = 1e-7
@@ -163,7 +161,7 @@ def test_null_step_keeps_reference():
         prob = rand_problem(rng, n=5, m=3)
         cfg = SolverConfig(rho=1e-6, beta=0.99, rbar=1)
         state = init_state(prob, cfg, y0=rng.normal(size=3))
-        new_state, rec, _ = step_block(prob, cfg, state)
+        new_state, rec, _ = step(prob, cfg, state)
         if rec.descent:
             continue
         assert np.array_equal(new_state.y, state.y)
@@ -330,7 +328,6 @@ def test_run_stops_at_iteration_budget():
     res = run(prob, cfg)
     assert res.stats.stop_reason == "max_iters"
     assert res.stats.iterations == len(res.records) == 5
-    assert res.final is res.records[-1]
     assert res.primal is not None and res.primal.shape == (6, 6)
 
 
@@ -342,19 +339,9 @@ def test_run_scalar_fixed_point_stops_immediately(variant):
     res = run(prob, cfg, y0=np.array([-2.0]))
     assert res.stats.stop_reason == "target_gap"
     assert res.stats.iterations == 1
-    assert res.final.step <= 1e-8
-    assert res.final.descent
+    assert res.records[-1].step <= 1e-8
+    assert res.records[-1].descent
     assert abs(res.state.F_y - 2.0) <= 1e-12
-
-
-def test_run_alpha_override_changes_objective():
-    rng = np.random.default_rng(10)
-    prob = rand_problem(rng, n=5, m=3)
-    cfg = SolverConfig(rbar=1, max_iters=1, alpha=prob.alpha * 2.0)
-    res = run(prob, cfg, y0=np.ones(3))
-    boosted = SdpProblem(C=prob.C, A=prob.A, b=prob.b, alpha=prob.alpha * 2.0)
-    want = dual_objective(boosted, np.ones(3))
-    assert abs(res.records[0].F_y - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_run_all_null_steps_warns_and_reports_last_candidate():

@@ -9,7 +9,7 @@ from specbundle import (Aggregate, ConstraintMap, SdpProblem, dual_objective,
                         orthonormalize, simple_model_value, top_eigs,
                         zero_aggregate)
 
-from conftest import rand_problem, rand_setup, symm
+from conftest import rand_problem, rand_setup
 
 
 def _F_dense_oracle(prob, y):

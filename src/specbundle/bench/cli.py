@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -239,11 +240,38 @@ def cmd_verify(args):
     return 0 if rep.passed else 1
 
 
+# BLAS thread settings that sweep workers start with: parallel workers that
+# each run a multi-threaded BLAS oversubscribe the cores (a dense n=1000
+# eigensolve went from 57 ms to 3.9 s beside one more BLAS-heavy process on
+# two cores), and the thread count also changes the solver's trajectory
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
 def _sweep_job(job):
+    """One sweep run; also returns the BLAS thread setting it ran under."""
     prob, cfg = job
     t0 = time.perf_counter()
     result = run(prob, cfg)
-    return result, time.perf_counter() - t0
+    return (result, time.perf_counter() - t0,
+            os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
+
+
+def _pool_map(jobs, workers):
+    """``_sweep_job`` over ``jobs`` in freshly spawned worker processes,
+    which inherit ``_WORKER_ENV`` (set here only while they start, since
+    BLAS reads it once, when numpy loads)."""
+    saved = {k: os.environ.get(k) for k in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(_sweep_job, jobs))
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                del os.environ[k]
+            else:
+                os.environ[k] = v
 
 
 def cmd_sweep(args):
@@ -267,17 +295,18 @@ def cmd_sweep(args):
             jobs.append((variant, rbar,
                          _config_from_args(args, variant, rbar)))
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(_sweep_job, [(prob, cfg) for _, _, cfg in jobs]))
+        outcomes = _pool_map([(prob, cfg) for _, _, cfg in jobs], args.jobs)
     else:
         outcomes = [_sweep_job((prob, cfg)) for _, _, cfg in jobs]
+    threads = ",".join(sorted({t for _, _, t in outcomes}))
 
     print(f"{label}: n={prob.n} m={prob.m} alpha={prob.alpha:g}")
+    print(f"jobs: {args.jobs}, BLAS threads per job: {threads}")
     header = (f"{'variant':<8} {'rbar':>4} {'iters':>5} {'descent':>7} "
               f"{'dual opt.':>11} {'primal opt.':>11} {'primal feas.':>12} {'time (s)':>9}")
     print(header)
     print("-" * len(header))
-    for (variant, rbar, cfg), (result, elapsed) in zip(jobs, outcomes):
+    for (variant, rbar, cfg), (result, elapsed, _) in zip(jobs, outcomes):
         if refs is not None:
             m = metrics_from_run(result, refs, norm_b)
             cells = (f"{m.dual_opt:>11.3e} {m.primal_opt:>11.3e} "
@@ -290,9 +319,10 @@ def cmd_sweep(args):
             stem = f"{args.out_dir}/{args.problem}_{variant}_r{rbar}"
             write_trace(stem + ".csv", result.records, cfg.rbar)
             metrics = metrics_from_run(result, refs, norm_b) if refs is not None else None
-            write_summary(stem + ".json", summary_dict(
-                cfg, result, refs=refs, metrics=metrics, problem_label=label,
-                alpha_effective=prob.alpha))
+            summary = summary_dict(cfg, result, refs=refs, metrics=metrics,
+                                   problem_label=label, alpha_effective=prob.alpha)
+            summary["blas_threads"] = threads
+            write_summary(stem + ".json", summary)
     return 0
 
 
@@ -357,7 +387,8 @@ def build_parser():
                    help="comma-separated variants to sweep")
     _add_solver_flags(p)
     p.add_argument("--out-dir", help="write one trace and summary per run here")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel worker processes (spawned, one BLAS thread each)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plotdata", help="emit t,rel_gap rows from a trace")

@@ -41,7 +41,8 @@ class ReferenceValues:
     @classmethod
     def from_dict(cls, d):
         """Inverse of ``to_dict``; unknown keys are ignored.  Raises
-        ValueError when ``d`` is not a mapping or lacks a field."""
+        ValueError when ``d`` is not a mapping, lacks a field or holds a
+        field of the wrong type (booleans are not numbers here)."""
         if not isinstance(d, dict):
             raise ValueError(f"reference values must be a JSON object, "
                              f"got {type(d).__name__}")
@@ -49,7 +50,17 @@ class ReferenceValues:
         missing = [n for n in names if n not in d]
         if missing:
             raise ValueError(f"reference values lack {', '.join(missing)}")
+        for name, (kinds, what) in _FIELD_TYPES.items():
+            v = d[name]
+            if isinstance(v, bool) or not isinstance(v, kinds):
+                raise ValueError(f"reference value {name} must be {what}, got {v!r}")
         return cls(**{n: d[n] for n in names})
+
+
+# the JSON types each field of ReferenceValues accepts
+_NUMBER = ((int, float), "a number")
+_FIELD_TYPES = {"d_star": _NUMBER, "p_star": _NUMBER, "nuc": _NUMBER,
+                "rank": (int, "an integer"), "provenance": (str, "a string")}
 
 
 def maxcut_factor_ascent(L, factor_rank=None, sweeps=4000, tol=1e-13, seed=0):

@@ -112,8 +112,14 @@ def write_summary(path, summary):
 
 
 def read_summary(path):
+    """The summary written by ``write_summary``; raises ValueError unless
+    the file holds a JSON object."""
     with open(path) as fh:
-        return json.load(fh)
+        summary = json.load(fh)
+    if not isinstance(summary, dict):
+        raise ValueError(f"{path}: summary must be a JSON object, "
+                         f"got {type(summary).__name__}")
+    return summary
 
 
 def _jsonable(obj):

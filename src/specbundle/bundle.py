@@ -214,7 +214,7 @@ def step(prob, cfg, state):
         Q1, lam_keep = Q[:, p - keep:], lam[p - keep:]
         Q2, lam_rest = Q[:, :p - keep], lam[:p - keep]
         S_rest = symmetrize((Q2 * lam_rest) @ Q2.T)
-        AX_raw = sol.eta * state.agg.AX + np.tensordot(sol.ip.T, S_rest, axes=([1, 2], [0, 1]))
+        AX_raw = sol.eta * state.agg.AX + sol.ip.apply(S_rest)
         CX_raw = sol.eta * state.agg.CX + float(np.sum(S_rest * sol.ip.VCV))
         tr_raw = sol.eta * state.agg.tr + float(np.sum(lam_rest))
         X_raw = None

@@ -24,12 +24,37 @@ onto S_t is spectral and reduces to a simplex-with-slack projection of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 from .linops import symmetrize
+
+
+@cache
+def _syevr_work(n):
+    """(lwork, liwork) of dsyevr for order ``n``, queried as
+    scipy.linalg.eigh does; lwork sets LAPACK's blocking, so other sizes
+    can change the bits."""
+    lwork, liwork, info = dsyevr_lwork(n=n, lower=1)
+    if info != 0:
+        raise ValueError(f"dsyevr workspace query failed: {info}")
+    return int(lwork), int(liwork)
+
+
+def _eigh(A):
+    """``scipy.linalg.eigh(A)`` for a symmetric float64 matrix, bit for bit:
+    the same LAPACK driver (dsyevr, lower triangle, all eigenpairs) and
+    workspace sizes, without the wrapper's per-call argument handling."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork, liwork = _syevr_work(A.shape[0])
+    w, v, _, _, info = dsyevr(A, compute_v=1, lower=1, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    return w, v
 
 
 def project_simplex_hull(v):
@@ -59,7 +84,7 @@ def project_psd_simplex_hull(eta0, S0):
     projects (eta0, eigenvalues) onto the nonnegative simplex hull.
     """
     S0 = symmetrize(np.atleast_2d(np.asarray(S0, dtype=float)))
-    lam, Q = scipy.linalg.eigh(S0)
+    lam, Q = _eigh(S0)
     x = project_simplex_hull(np.concatenate([[float(eta0)], lam]))
     S = symmetrize((Q * x[1:]) @ Q.T)
     return float(x[0]), S
@@ -81,6 +106,10 @@ class InnerProblem:
     VCV: np.ndarray      # V^T C V
     G2: np.ndarray       # V^T (C - A* y) V
     const: float         # <b, y>
+    T2: np.ndarray = field(init=False, repr=False)   # T viewed as (m, p*p)
+
+    def __post_init__(self):
+        self.T2 = self.T.reshape(self.T.shape[0], -1)
 
     @classmethod
     def build(cls, prob, agg, V, y, rho):
@@ -90,18 +119,30 @@ class InnerProblem:
         y = np.asarray(y, dtype=float)
         T = prob.A.congruence(V)
         VCV = symmetrize(V.T @ prob.C @ V)
-        G2 = symmetrize(VCV - np.tensordot(y, T, axes=1))
-        return cls(y=y, rho=float(rho), V=V, b=prob.b, alpha=prob.alpha,
-                   AX=agg.AX, c_eta=agg.CX - float(agg.AX @ y),
-                   T=T, VCV=VCV, G2=G2, const=float(prob.b @ y))
+        ip = cls(y=y, rho=float(rho), V=V, b=prob.b, alpha=prob.alpha,
+                 AX=agg.AX, c_eta=agg.CX - float(agg.AX @ y),
+                 T=T, VCV=VCV, G2=None, const=float(prob.b @ y))
+        ip.G2 = symmetrize(VCV - ip.adjoint(y))   # the adjoint needs ip.T2
+        return ip
 
     @property
     def width(self):
         return self.V.shape[1]
 
+    def apply(self, S):
+        """A(V S V^T) = sum_kl T[:, k, l] S[k, l]: the single np.dot that
+        np.tensordot(T, S, axes=([1, 2], [0, 1])) makes, so the same bits."""
+        m, pp = self.T2.shape
+        return np.dot(self.T2, S.reshape(pp, 1)).reshape(m)
+
+    def adjoint(self, r):
+        """V^T A*(r) V = sum_k r[k] T[k]: the single np.dot that
+        np.tensordot(r, T, axes=1) makes, so the same bits."""
+        return np.dot(r.reshape(1, self.T2.shape[0]), self.T2).reshape(self.T.shape[1:])
+
     def residual_vec(self, eta, S):
         """b - A(eta Xbar + V S V^T)."""
-        return self.b - eta * self.AX - np.tensordot(self.T, S, axes=([1, 2], [0, 1]))
+        return self.b - eta * self.AX - self.apply(S)
 
     def value(self, eta, S):
         r = self.residual_vec(eta, S)
@@ -111,7 +152,7 @@ class InnerProblem:
     def gradient(self, eta, S):
         r = self.residual_vec(eta, S)
         d_eta = self.c_eta - float(self.AX @ r) / self.rho
-        d_S = self.G2 - np.tensordot(r, self.T, axes=1) / self.rho
+        d_S = self.G2 - self.adjoint(r) / self.rho
         return d_eta, symmetrize(d_S)
 
 
@@ -149,9 +190,9 @@ def _quadratic_lipschitz(ip, rel_tol=1e-3, max_iter=200, seed=0):
     lam = 0.0
     for _ in range(max_iter):
         # forward map into constraint space, then its adjoint, over rho
-        r = de * ip.AX + a * np.tensordot(ip.T, dS, axes=([1, 2], [0, 1]))
+        r = de * ip.AX + a * ip.apply(dS)
         he = float(ip.AX @ r) / ip.rho
-        hS = a * np.tensordot(r, ip.T, axes=1) / ip.rho
+        hS = a * ip.adjoint(r) / ip.rho
         norm = np.sqrt(he * he + float(np.sum(hS * hS)))
         if norm == 0.0:
             return 0.0
@@ -164,6 +205,18 @@ def _quadratic_lipschitz(ip, rel_tol=1e-3, max_iter=200, seed=0):
     return float(lam)
 
 
+def _face_solves(H, rhs):
+    """Truncated least-squares solve of H u = rhs (valley directions
+    dropped) and the exact one (valley resolved when its minimizer is
+    finite; the caller's projection rejects blowups).  When the truncated
+    solve keeps full rank, gelsd truncates nothing under either cutoff and
+    does the same arithmetic twice, so that one solution is returned."""
+    u, _, rank, _ = np.linalg.lstsq(H, rhs, rcond=1e-10)
+    if rank == H.shape[0]:
+        return [u]
+    return [u, np.linalg.lstsq(H, rhs, rcond=None)[0]]
+
+
 def _face_candidates(ip, Qo, TFull, G2Full, keep, eta_free):
     """Stationary points of the quadratic restricted to one face.
 
@@ -171,12 +224,11 @@ def _face_candidates(ip, Qo, TFull, G2Full, keep, eta_free):
     U W U^T with W a free symmetric block over U, the leading ``keep``
     columns of the rotated basis Qo; ``TFull``/``G2Full`` are the
     constraint and linear blocks already rotated into that basis, so
-    each face only slices them.  Solved once unconstrained with small
-    singular values truncated (the design can carry nearly flat
-    valleys), once exactly, and once with the trace cap pinned as an
-    equality.  Results are projected onto the feasible set, so a wrong
-    face or an indefinite KKT solve is harmless.  Returns scaled
-    (eta, S/alpha) pairs.
+    each face only slices them.  Solved unconstrained (see
+    ``_face_solves``; the design can carry nearly flat valleys) and once
+    with the trace cap pinned as an equality.  Results are projected onto
+    the feasible set, so a wrong face or an indefinite KKT solve is
+    harmless.  Returns scaled (eta, S/alpha) pairs.
     """
     a = ip.alpha
     p = ip.width
@@ -218,10 +270,7 @@ def _face_candidates(ip, Qo, TFull, G2Full, keep, eta_free):
         return project_psd_simplex_hull(eta_new, S_new / a)
 
     out = []
-    # truncated solve (valley directions dropped) and exact solve (valley
-    # resolved when its minimizer is finite; projection rejects blowups)
-    for rcond in (1e-10, None):
-        u = np.linalg.lstsq(H, rhs, rcond=rcond)[0]
+    for u in _face_solves(H, rhs):
         if float(np.abs(u).max(initial=0.0)) > 1e10:
             continue
         cand = unpack(u)
@@ -247,7 +296,7 @@ def _face_polish(ip, e, Ss):
     the clamped set, each with eta free and, when eta is small, clamped
     too.  Candidate counts stay tiny because the bundle width is.
     """
-    lam, Q = scipy.linalg.eigh(symmetrize(Ss))
+    lam, Q = _eigh(symmetrize(Ss))
     order = np.argsort(lam)[::-1]      # descending, clamp suffixes
     p = lam.size
     Qo = Q[:, order]
@@ -478,7 +527,7 @@ def solve_subproblem(prob, agg, V, y, rho, warm=None, max_iter=5000):
     else:
         eta, S, info = solve_inner_apg(ip, max_iter=max_iter, warm=warm)
 
-    AX = eta * agg.AX + np.tensordot(ip.T, S, axes=([1, 2], [0, 1]))
+    AX = eta * agg.AX + ip.apply(S)
     CX = eta * agg.CX + float(np.sum(S * ip.VCV))
     tr = eta * agg.tr + float(np.trace(S))
     z = ip.y + (prob.b - AX) / rho

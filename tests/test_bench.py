@@ -3,6 +3,7 @@ checks, and the command-line front end."""
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -162,6 +163,10 @@ def test_reference_values_from_dict():
         ReferenceValues.from_dict({"d_star": 1.0, "p_star": -1.0, "provenance": ""})
     with pytest.raises(ValueError, match="JSON object"):
         ReferenceValues.from_dict([1.0])
+    for name, bad in (("d_star", "x"), ("nuc", None), ("p_star", True),
+                      ("rank", 2.0), ("provenance", 3)):
+        with pytest.raises(ValueError, match=f"reference value {name} must be"):
+            ReferenceValues.from_dict({**refs.to_dict(), name: bad})
 
 
 def test_numerical_rank():
@@ -525,6 +530,24 @@ def test_cli_sweep_writes_tables_and_files(tmp_path, capsys):
             assert (out_dir / f"maxcut_{variant}_r{rbar}.json").exists()
 
 
+def test_cli_sweep_parallel_workers_run_one_blas_thread(tmp_path, capsys):
+    blas_env = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    before = {k: os.environ.get(k) for k in blas_env}
+    out_dir = tmp_path / "runs"
+    rc = main(["sweep", "--problem", "maxcut", "--gen", "triangle",
+               "--rbar", "1,2", "--variants", "block", "--jobs", "2",
+               "--max-iters", "8", "--auto-ref", "--out-dir", str(out_dir)])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "jobs: 2, BLAS threads per job: 1" in out
+    rows = [line.split() for line in out.splitlines() if line.startswith("block ")]
+    assert [row[1] for row in rows] == ["1", "2"]
+    for rbar in (1, 2):
+        assert read_summary(str(out_dir / f"maxcut_block_r{rbar}.json"))["blas_threads"] == "1"
+    # the workers' settings do not stay in this process's environment
+    assert {k: os.environ.get(k) for k in blas_env} == before
+
+
 def test_cli_sweep_creates_missing_out_dir(tmp_path, capsys):
     out_dir = tmp_path / "not" / "yet"
     rc = main(["sweep", "--problem", "maxcut", "--gen", "triangle",
@@ -600,6 +623,27 @@ def test_cli_verify_summary_without_max_norm_y_exits_two(tmp_path, capsys):
     rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
     assert rc == 2
     assert "max_norm_y" in capsys.readouterr().err
+
+
+def test_cli_verify_non_numeric_ref_exits_two(tmp_path, capsys):
+    rc, trace, summary = _solve_triangle(tmp_path)
+    assert rc == 0
+    data = read_summary(str(summary))
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({**data["refs"], "d_star": "x"}))
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
+               "--ref", str(ref)])
+    assert rc == 2
+    assert "d_star" in capsys.readouterr().err
+
+
+def test_cli_verify_summary_not_an_object_exits_two(tmp_path, capsys):
+    rc, trace, summary = _solve_triangle(tmp_path)
+    assert rc == 0
+    summary.write_text(json.dumps([read_summary(str(summary))]))
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
+    assert rc == 2
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_cli_plotdata_ref_not_an_object_exits_two(tmp_path, capsys):

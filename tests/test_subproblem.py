@@ -1,16 +1,22 @@
 """Subproblem solver checks: projections against an enumeration oracle,
 closed forms against grid refinement, APG against both."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specbundle import (InnerProblem, project_psd_simplex_hull,
+from specbundle import subproblem
+from specbundle import (InnerProblem, SolverConfig, run, project_psd_simplex_hull,
                         project_simplex_hull, solve_inner_apg,
                         solve_inner_rank1, solve_subproblem, zero_aggregate,
                         model_value)
+from specbundle.bench import build_maxcut, gen_er_graph, write_trace
 from specbundle.model import SdpProblem
 from specbundle.linops import ConstraintMap
 
@@ -357,3 +363,117 @@ def test_subproblem_width1_converged_flag_and_residual():
     sol = solve_subproblem(prob, agg, V, y, rho)
     assert sol.converged
     assert sol.residual <= 1e-7
+
+
+# -- fast-path primitives against the library calls they replace ---------------
+#
+# The inner solver's results must not move by a bit (the outer trajectory
+# amplifies last-bit changes), so each primitive is compared with
+# np.array_equal against the library call it stands in for.  A numpy or
+# scipy upgrade that changes eigh's workspace query or tensordot's internal
+# product fails here first.
+
+def _symmetric_cases(rng, p):
+    """PSD, rank-deficient, repeated-eigenvalue and indefinite matrices."""
+    B = rng.standard_normal((p, p))
+    F = rng.standard_normal((p, max(p // 2, 1)))
+    Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    lam = np.sort(rng.uniform(-1.0, 1.0, p))
+    lam[:(p + 1) // 2] = lam[0]
+    return [symm(B @ B.T), symm(F @ F.T), symm((Q * lam) @ Q.T), symm(B),
+            np.zeros((p, p)), np.eye(p)]
+
+
+def test_eigh_fast_path_bitwise_equals_scipy():
+    rng = np.random.default_rng(30)
+    subproblem._syevr_work.cache_clear()
+    # widths 40 and 70 are past LAPACK's blocking crossover, where a
+    # workspace size other than scipy's changes the bits
+    for p in [*range(1, 9), 40, 70]:
+        for _ in range(2):          # cold, then warm workspace cache
+            for A in _symmetric_cases(rng, p):
+                w, v = subproblem._eigh(A)
+                w_ref, v_ref = scipy.linalg.eigh(A)
+                assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+                assert v.flags.f_contiguous == v_ref.flags.f_contiguous
+
+
+def test_contractions_bitwise_equal_tensordot():
+    rng = np.random.default_rng(31)
+    for p in range(1, 6):
+        prob, agg, V, y, rho = rand_setup(rng, n=8, m=7, p=p)
+        ip = InnerProblem.build(prob, agg, V, y, rho)
+        G2_ref = symm(ip.VCV - np.tensordot(y, ip.T, axes=1))
+        assert np.array_equal(ip.G2, G2_ref)
+        S = symm(rng.standard_normal((p, p)))
+        # C-ordered, Fortran-ordered and strided operands
+        for Sx in (S, np.asfortranarray(S), np.kron(S, np.ones((2, 2)))[::2, ::2]):
+            assert np.array_equal(ip.apply(Sx),
+                                  np.tensordot(ip.T, Sx, axes=([1, 2], [0, 1])))
+        r = rng.standard_normal(prob.m)
+        assert np.array_equal(ip.adjoint(r), np.tensordot(r, ip.T, axes=1))
+
+
+def test_face_solve_reuse_bitwise_equals_second_lstsq():
+    rng = np.random.default_rng(32)
+    for q in range(1, 12):
+        D = rng.standard_normal((q + 3, q))
+        H = D.T @ D / 0.7
+        rhs = rng.standard_normal(q)
+        solves = subproblem._face_solves(H, rhs)
+        assert len(solves) == 1
+        assert np.array_equal(solves[0], np.linalg.lstsq(H, rhs, rcond=None)[0])
+    # rank-deficient: the truncated and the exact solve are both kept
+    D = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+    H = D.T @ D
+    rhs = rng.standard_normal(4)
+    truncated, exact = subproblem._face_solves(H, rhs)
+    assert np.array_equal(truncated, np.linalg.lstsq(H, rhs, rcond=1e-10)[0])
+    assert np.array_equal(exact, np.linalg.lstsq(H, rhs, rcond=None)[0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hull_projection_rejects_non_finite(bad):
+    S = np.eye(3)
+    S[1, 2] = S[2, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        project_psd_simplex_hull(0.2, S)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_subproblem_rejects_non_finite(p, bad):
+    rng = np.random.default_rng(33)
+    prob, agg, V, y, rho = rand_setup(rng, p=p)
+    y = y.copy()
+    y[0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_subproblem(prob, agg, V, y, rho)
+
+
+def _write_traces(out_dir):
+    """Traces of a small max-cut solve with block and with hr."""
+    prob = build_maxcut(gen_er_graph(40, 0.15, 3))
+    for variant in ("block", "hr"):
+        res = run(prob, SolverConfig(variant=variant, rbar=4, rho=0.5, max_iters=25))
+        write_trace(os.path.join(out_dir, f"{variant}.csv"), res.records, 4)
+
+
+def test_traces_do_not_depend_on_workspace_cache_state(tmp_path):
+    # a fresh process starts with an empty dsyevr workspace cache; this
+    # one has it filled by the first in-process run at the latest
+    cold, warm = tmp_path / "cold", tmp_path / "warm"
+    cold.mkdir()
+    warm.mkdir()
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(subproblem.__file__))
+    script = (f"import sys; sys.path[:0] = [{src!r}, {here!r}]; "
+              "from test_subproblem import _write_traces; _write_traces(sys.argv[1])")
+    subprocess.run([sys.executable, "-c", script, str(cold)], check=True, timeout=600)
+    for _ in range(2):
+        _write_traces(str(warm))
+        assert subproblem._syevr_work.cache_info().currsize > 0
+        for variant in ("block", "hr"):
+            assert ((cold / f"{variant}.csv").read_bytes()
+                    == (warm / f"{variant}.csv").read_bytes())

@@ -218,12 +218,7 @@ def cmd_verify(args):
     alpha = args.alpha if args.alpha is not None else summary.get("alpha_effective")
     if alpha is None:
         raise ValueError("summary does not record the penalty; pass --alpha")
-    conf = summary.get("config") or {}
-    missing = [f"config.{k}" for k in ("rho", "beta") if conf.get(k) is None]
-    if summary.get("max_norm_y") is None:
-        missing.append("max_norm_y")
-    if missing:
-        raise ValueError(f"{args.summary}: summary lacks {', '.join(missing)}")
+    conf = summary["config"]
     rep = VerifyReport()
     rep.checks += check_descent_bounds(records, refs, conf["rho"], conf["beta"],
                                        float(alpha), summary["max_norm_y"],

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from ..bundle import IterationRecord
+from ..bundle import InvariantReport, IterationRecord
 
 
 class TraceFormatError(ValueError):
@@ -84,14 +85,7 @@ def summary_dict(cfg, result, refs=None, metrics=None, problem_label="",
     return {
         "problem": problem_label,
         "alpha_effective": alpha_effective,
-        "config": {
-            "variant": cfg.variant, "beta": cfg.beta, "rho": cfg.rho,
-            "rbar": cfg.rbar, "hr_keep": cfg.resolved_hr_keep(),
-            "max_iters": cfg.max_iters, "inner_max_iter": cfg.inner_max_iter,
-            "storage": cfg.storage, "sketch_rank": cfg.sketch_rank,
-            "target_gap": cfg.target_gap, "seed": cfg.seed,
-            "check_invariants": cfg.check_invariants,
-        },
+        "config": {**asdict(cfg), "hr_keep": cfg.resolved_hr_keep()},
         "seed": cfg.seed,
         "iterations": result.stats.iterations,
         "descent_steps": result.stats.descent_steps,
@@ -112,14 +106,46 @@ def write_summary(path, summary):
 
 
 def read_summary(path):
-    """The summary written by ``write_summary``; raises ValueError unless
-    the file holds a JSON object."""
+    """The summary written by ``write_summary``.  Raises ValueError, naming
+    the field, unless the file holds a JSON object with the fields verify
+    reads: numeric ``config.rho``, ``config.beta`` and ``max_norm_y``, and
+    optionally a numeric ``alpha_effective`` and an ``invariants`` object
+    holding every ``InvariantReport`` field."""
     with open(path) as fh:
         summary = json.load(fh)
     if not isinstance(summary, dict):
         raise ValueError(f"{path}: summary must be a JSON object, "
                          f"got {type(summary).__name__}")
+    conf = _field(path, summary, "config", _OBJECT)
+    for key in ("rho", "beta"):
+        _field(path, conf, key, _NUMBER, prefix="config.")
+    _field(path, summary, "max_norm_y", _NUMBER)
+    _field(path, summary, "alpha_effective", _NUMBER, required=False)
+    inv = _field(path, summary, "invariants", _OBJECT, required=False)
+    if inv is not None:
+        for f in fields(InvariantReport):
+            kind = (int, "an integer") if f.name == "checked" else _NUMBER
+            _field(path, inv, f.name, kind, prefix="invariants.")
     return summary
+
+
+# the JSON types a summary field accepts
+_NUMBER = ((int, float), "a number")
+_OBJECT = (dict, "a JSON object")
+
+
+def _field(path, obj, key, kind, prefix="", required=True):
+    """obj[key] if it is of ``kind`` (booleans are not numbers), None if it
+    is absent or null and not required; ValueError naming it otherwise."""
+    v = obj.get(key)
+    if v is None:
+        if required:
+            raise ValueError(f"{path}: summary lacks {prefix}{key}")
+        return None
+    types, what = kind
+    if isinstance(v, bool) or not isinstance(v, types):
+        raise ValueError(f"{path}: summary field {prefix}{key} must be {what}, got {v!r}")
+    return v
 
 
 def _jsonable(obj):

@@ -22,6 +22,11 @@ They differ only in steps 3 and 4:
 
 The aggregate matrix is stored rescaled to trace alpha (see model module)
 so the recycled-cut certificates below stay inside the trace-capped set.
+
+Only the aggregate's caches A(Xbar), <C, Xbar>, tr(Xbar) move the iterates.
+The primal record (``Aggregate.X``, ``StepInfo.X_t``) is output only: a
+dense matrix, or its two-sided sketch in compressed storage, chosen once by
+``init_state`` and updated only by ``_record_update`` and rescaling.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ import scipy.linalg
 from .linops import orthonormalize, symmetrize
 from .model import (Aggregate, dual_objective, model_value,
                     objective_with_spectrum, simple_model_value, zero_aggregate)
-from .sketch import sketch_init, sketch_reconstruct, sketch_scale, sketch_update
+from .sketch import (SketchState, sketch_init, sketch_reconstruct, sketch_scale,
+                     sketch_update)
 from .subproblem import solve_subproblem
 
 _VARIANTS = ("block", "hr", "hybrid")
@@ -136,8 +142,7 @@ class StepInfo:
     V_prev: np.ndarray
     agg_new: Aggregate
     V_new: np.ndarray
-    X_t: np.ndarray | None
-    xt_sketch: object | None
+    X_t: np.ndarray | SketchState
     tr_raw: float
     Q1: np.ndarray | None
     lam_keep: np.ndarray | None
@@ -156,27 +161,31 @@ def init_state(prob, cfg, y0=None):
         raise ValueError(f"initial point must have shape {(m,)}, got {y0.shape}")
     width = min(cfg.rbar, prob.n)
     F0, vals, vecs = objective_with_spectrum(prob, y0, width)
-    sketch = None
+    X = None
     if cfg.storage == "compressed":
-        sketch = sketch_init(prob.n, cfg.sketch_rank or cfg.rbar, cfg.seed)
-    agg = zero_aggregate(prob, explicit=(cfg.storage == "explicit"), sketch=sketch)
+        X = sketch_init(prob.n, cfg.sketch_rank or cfg.rbar, cfg.seed)
+    agg = zero_aggregate(prob, X)
     return BundleState(t=0, y=y0, z=y0.copy(), V=vecs, agg=agg,
                        F_y=F0, lam1_y=float(vals[0]))
 
 
-def _finished_aggregate(prob, agg_prev, V, S_part, eta, AX, CX, tr, X):
-    """Normalize the raw updated aggregate to trace alpha and push the
-    same (scaled) update through the sketch."""
+def _record_update(X, scale, V, S):
+    """The primal record of  scale * X + V S V^T  from the record X."""
+    if isinstance(X, SketchState):
+        return sketch_update(X, scale, V, S)
+    return symmetrize(scale * X + (V @ S) @ V.T)
+
+
+def _finished_aggregate(prob, AX, CX, tr, X):
+    """Normalize the raw updated aggregate, caches and record X, to trace
+    alpha; below the trace floor it is reset to zero."""
     alpha = prob.alpha
+    sketched = isinstance(X, SketchState)
     if tr <= _TRACE_FLOOR * alpha:
-        sk = sketch_scale(agg_prev.sketch, 0.0) if agg_prev.sketch is not None else None
-        return zero_aggregate(prob, explicit=X is not None, sketch=sk)
+        return zero_aggregate(prob, sketch_scale(X, 0.0) if sketched else None)
     c = alpha / tr
-    sk = None
-    if agg_prev.sketch is not None:
-        sk = sketch_update(agg_prev.sketch, eta * c, V, S_part * c)
-    X_new = symmetrize(X) * c if X is not None else None
-    return Aggregate(AX=AX * c, CX=CX * c, tr=alpha, X=X_new, sketch=sk)
+    X = sketch_scale(X, c) if sketched else X * c
+    return Aggregate(AX=AX * c, CX=CX * c, tr=alpha, X=X)
 
 
 def step(prob, cfg, state):
@@ -194,19 +203,11 @@ def step(prob, cfg, state):
     F_z, vals, vecs = objective_with_spectrum(prob, z, k)
     descent = is_descent_step(state.F_y, F_z, sol.model_at_z, cfg.beta)
 
-    explicit = state.agg.X is not None
-    X_t = None
-    if explicit:
-        X_t = symmetrize(sol.eta * state.agg.X + (V @ sol.S) @ V.T)
-    xt_sketch = None
-    if state.agg.sketch is not None:
-        xt_sketch = sketch_update(state.agg.sketch, sol.eta, V, sol.S)
-
+    X_t = _record_update(state.agg.X, sol.eta, V, sol.S)
     Q1 = lam_keep = None
     if cfg.variant == "block":
         tr_raw = sol.tr
-        agg_new = _finished_aggregate(prob, state.agg, V, sol.S, sol.eta,
-                                      sol.AX, sol.CX, sol.tr, X_t)
+        agg_new = _finished_aggregate(prob, sol.AX, sol.CX, sol.tr, X_t)
         V_new = vecs[:, :min(cfg.rbar, prob.n)]
     else:
         lam, Q = scipy.linalg.eigh(symmetrize(sol.S))
@@ -217,11 +218,8 @@ def step(prob, cfg, state):
         AX_raw = sol.eta * state.agg.AX + sol.ip.apply(S_rest)
         CX_raw = sol.eta * state.agg.CX + float(np.sum(S_rest * sol.ip.VCV))
         tr_raw = sol.eta * state.agg.tr + float(np.sum(lam_rest))
-        X_raw = None
-        if explicit:
-            X_raw = sol.eta * state.agg.X + (V @ S_rest) @ V.T
-        agg_new = _finished_aggregate(prob, state.agg, V, S_rest, sol.eta,
-                                      AX_raw, CX_raw, tr_raw, X_raw)
+        X_raw = _record_update(state.agg.X, sol.eta, V, S_rest)
+        agg_new = _finished_aggregate(prob, AX_raw, CX_raw, tr_raw, X_raw)
         fresh = vecs[:, :1] if cfg.variant == "hr" else vecs[:, :min(cfg.rbar, prob.n)]
         V_new = orthonormalize(np.hstack([V @ Q1, fresh]))
 
@@ -251,8 +249,8 @@ def step(prob, cfg, state):
                             warm=(sol.eta, sol.S),
                             descent_steps=state.descent_steps + int(descent))
     info = StepInfo(sol=sol, F_z=F_z, vals=vals, vecs=vecs, V_prev=V,
-                    agg_new=agg_new, V_new=V_new, X_t=X_t, xt_sketch=xt_sketch,
-                    tr_raw=tr_raw, Q1=Q1, lam_keep=lam_keep)
+                    agg_new=agg_new, V_new=V_new, X_t=X_t, tr_raw=tr_raw,
+                    Q1=Q1, lam_keep=lam_keep)
     return new_state, rec, info
 
 
@@ -319,9 +317,9 @@ def membership_certificates(prob, info):
     the scaled top-eigenvector cut as members of the refreshed working set.
 
     Returns (reconstruction error, feasibility violation), both relative
-    to alpha.  Requires explicit aggregate storage.
+    to alpha.  Requires explicit storage.
     """
-    if info.X_t is None or info.agg_new.X is None:
+    if not isinstance(info.X_t, np.ndarray):
         raise ValueError("membership certificates need explicit storage")
     alpha = prob.alpha
     Vn = info.V_new
@@ -354,7 +352,7 @@ def membership_certificates(prob, info):
 
 def _update_invariants(prob, info, rng, report):
     check_model_dominance(prob, info, rng, report)
-    if info.X_t is not None and info.agg_new.X is not None:
+    if isinstance(info.X_t, np.ndarray):
         err, feas = membership_certificates(prob, info)
         report.membership_err = max(report.membership_err, err)
         report.membership_feas = max(report.membership_feas, feas)
@@ -402,10 +400,7 @@ def run(prob, cfg, y0=None):
     warnings = []
     report = InvariantReport() if cfg.check_invariants else None
     max_norm_y = float(np.linalg.norm(state.y))
-    primal = None
-    primal_sketch = None
-    last_X = None
-    last_sketch = None
+    primal = last = None
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
         state, rec, info = step(prob, cfg, state)
@@ -417,21 +412,18 @@ def run(prob, cfg, y0=None):
         if report is not None:
             _update_invariants(prob, info, rng, report)
         max_norm_y = max(max_norm_y, float(np.linalg.norm(state.y)))
-        last_X, last_sketch = info.X_t, info.xt_sketch
+        last = info.X_t
         if rec.descent:
-            if info.X_t is not None:
-                primal = info.X_t
-            if info.xt_sketch is not None:
-                primal_sketch = info.xt_sketch
+            primal = info.X_t
         if stopping_metric(rec, norm_b) <= cfg.target_gap:
             stop_reason = "target_gap"
             break
-    if primal is None and primal_sketch is None and records:
+    if primal is None and records:
         warnings.append("no descent step taken; reporting the last candidate primal")
-        primal, primal_sketch = last_X, last_sketch
+        primal = last
     factors = None
-    if primal_sketch is not None:
-        factors = sketch_reconstruct(primal_sketch)
+    if isinstance(primal, SketchState):
+        primal, factors = None, sketch_reconstruct(primal)
     stats = RunStats(stop_reason=stop_reason, iterations=len(records),
                      descent_steps=state.descent_steps, max_norm_y=max_norm_y,
                      warnings=warnings, invariants=report)

@@ -89,27 +89,29 @@ def objective_with_spectrum(prob, y, k):
 
 @dataclass(frozen=True, eq=False)
 class Aggregate:
-    """Cached functionals of the aggregate matrix Xbar.
+    """Cached functionals of the aggregate matrix Xbar, plus its record.
 
-    AX = A(Xbar), CX = <C, Xbar>, tr = tr(Xbar).  X holds the dense matrix
-    in explicit storage; sketch holds the two-sided sketch in compressed
-    storage.  Either may be absent, the caches alone drive the solver.
+    AX = A(Xbar), CX = <C, Xbar>, tr = tr(Xbar); these alone drive the
+    solver.  X is the primal record, output only: the dense matrix in
+    explicit storage, its two-sided ``SketchState`` in compressed storage
+    (absent in an aggregate built just to evaluate the model).
     """
 
     AX: np.ndarray
     CX: float
     tr: float
-    X: np.ndarray | None = None
-    sketch: SketchState | None = None
+    X: np.ndarray | SketchState | None = None
 
     @property
     def is_zero(self):
         return self.tr == 0.0
 
 
-def zero_aggregate(prob, explicit=True, sketch=None):
-    X = np.zeros((prob.n, prob.n)) if explicit else None
-    return Aggregate(AX=np.zeros(prob.m), CX=0.0, tr=0.0, X=X, sketch=sketch)
+def zero_aggregate(prob, X=None):
+    """The zero aggregate; X is its record, the dense zero matrix unless a
+    zeroed sketch is passed."""
+    X = np.zeros((prob.n, prob.n)) if X is None else X
+    return Aggregate(AX=np.zeros(prob.m), CX=0.0, tr=0.0, X=X)
 
 
 def model_value(prob, agg, V, y):

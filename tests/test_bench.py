@@ -646,6 +646,42 @@ def test_cli_verify_summary_not_an_object_exits_two(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def _set(*keys_and_value):
+    *keys, last, value = keys_and_value
+
+    def edit(data):
+        for k in keys:
+            data = data[k]
+        data[last] = value
+    return edit
+
+
+def _drop(outer, key):
+    return lambda data: data[outer].pop(key)
+
+
+@pytest.mark.parametrize("edit,field", [
+    (_set("config", [1]), "config"),
+    (_set("invariants", [1]), "invariants"),
+    (_set("config", "rho", "x"), "config.rho"),
+    (_set("max_norm_y", "x"), "max_norm_y"),
+    (_drop("invariants", "model_minus_f"), "invariants.model_minus_f"),
+    (_set("invariants", "membership_err", "x"), "invariants.membership_err"),
+], ids=["config-list", "invariants-list", "rho-string", "max-norm-y-string",
+        "invariants-without-model-minus-f", "membership-err-string"])
+def test_cli_verify_malformed_summary_field_exits_two(tmp_path, capsys, edit, field):
+    rc, trace, summary = _solve_triangle(tmp_path)
+    assert rc == 0
+    data = read_summary(str(summary))
+    edit(data)
+    write_summary(str(summary), data)
+    capsys.readouterr()
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f" {field}" in err
+
+
 def test_cli_plotdata_ref_not_an_object_exits_two(tmp_path, capsys):
     rc, trace, _ = _solve_triangle(tmp_path)
     assert rc == 0

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import specbundle.bundle as bundle
 from specbundle import (Aggregate, BundleState, ConstraintMap, IterationRecord,
-                        SdpProblem, SolverConfig, dual_objective, init_state,
-                        is_descent_step, membership_certificates, run, step,
-                        stopping_metric)
-from specbundle.bundle import subgradient_at
+                        SdpProblem, SketchState, SolverConfig, dual_objective,
+                        init_state, is_descent_step, membership_certificates, run,
+                        sketch_init, step, stopping_metric, symmetrize)
+from specbundle.bundle import _finished_aggregate, subgradient_at
 
 from conftest import rand_problem
 
@@ -213,6 +214,62 @@ def test_candidate_trace_respects_budget():
             assert np.trace(info.X_t) <= prob.alpha + 1e-8
 
 
+# -- the primal record ---------------------------------------------------------
+
+def test_explicit_block_record_is_scaled_candidate():
+    rng = np.random.default_rng(14)
+    prob = rand_problem(rng, n=7, m=4)
+    cfg = SolverConfig(rbar=2)
+    state = init_state(prob, cfg, y0=rng.normal(size=4))
+    for _ in range(4):
+        prev = state
+        state, _, info = step(prob, cfg, prev)
+        sol, V = info.sol, info.V_prev
+        want = symmetrize(sol.eta * prev.agg.X + (V @ sol.S) @ V.T)
+        assert info.X_t.tobytes() == want.tobytes()
+        if not info.agg_new.is_zero:
+            assert (info.agg_new.X.tobytes()
+                    == (want * (prob.alpha / sol.tr)).tobytes())
+    assert not prev.agg.is_zero
+
+
+@pytest.mark.parametrize("variant,calls", [("block", 1), ("hr", 2)])
+def test_compressed_step_sketch_update_calls(variant, calls, monkeypatch):
+    # block folds the whole candidate into the aggregate, so its record is
+    # the candidate's rescaled; hr folds only part of S and needs both
+    rng = np.random.default_rng(15)
+    prob = rand_problem(rng, n=7, m=4)
+    cfg = SolverConfig(variant=variant, rbar=2, storage="compressed", sketch_rank=2)
+    state = init_state(prob, cfg, y0=rng.normal(size=4))
+    seen = []
+    real = bundle.sketch_update
+
+    def counting(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bundle, "sketch_update", counting)
+    _, _, info = step(prob, cfg, state)
+    assert len(seen) == calls
+    assert isinstance(info.X_t, SketchState)
+    assert isinstance(info.agg_new.X, SketchState)
+
+
+def test_zero_trace_reset_leaves_zeros():
+    rng = np.random.default_rng(16)
+    prob = rand_problem(rng, n=5, m=3)
+    X = -np.abs(rng.normal(size=(5, 5)))
+    agg = _finished_aggregate(prob, np.ones(3), 1.0, 0.0, X)
+    assert agg.is_zero and agg.CX == 0.0
+    assert agg.X.tobytes() == np.zeros((5, 5)).tobytes()
+    sk = sketch_init(5, 2, seed=0)
+    sk = bundle.sketch_update(sk, 1.0, rng.normal(size=(5, 2)), np.eye(2))
+    agg = _finished_aggregate(prob, np.ones(3), 1.0, 0.0, sk)
+    assert isinstance(agg.X, SketchState)
+    assert not agg.X.Yc.any() and not agg.X.Yr.any()
+    assert agg.X.Psi is sk.Psi and agg.X.Phi is sk.Phi
+
+
 # -- variant equivalences ------------------------------------------------------
 
 def test_hybrid_keep_zero_matches_block():
@@ -286,7 +343,7 @@ def test_membership_requires_explicit_storage():
     cfg = SolverConfig(rbar=2, storage="compressed", sketch_rank=2)
     state = init_state(prob, cfg)
     _, _, info = step(prob, cfg, state)
-    assert info.X_t is None
+    assert isinstance(info.X_t, SketchState)
     with pytest.raises(ValueError):
         membership_certificates(prob, info)
 

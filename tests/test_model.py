@@ -6,8 +6,8 @@ import scipy.linalg
 
 from specbundle import (Aggregate, ConstraintMap, SdpProblem, dual_objective,
                         model_value, objective_with_spectrum,
-                        orthonormalize, simple_model_value, top_eigs,
-                        zero_aggregate)
+                        orthonormalize, simple_model_value, sketch_init,
+                        top_eigs, zero_aggregate)
 
 from conftest import rand_problem, rand_setup
 
@@ -147,7 +147,9 @@ def test_zero_aggregate_flags():
     assert agg.is_zero
     assert agg.tr == 0.0
     assert np.array_equal(agg.AX, np.zeros(prob.m))
-    assert agg.X is not None and not agg.X.any()
+    assert agg.X.tobytes() == np.zeros((prob.n, prob.n)).tobytes()
+    sk = sketch_init(prob.n, 1, seed=0)
+    assert zero_aggregate(prob, sk).X is sk
     busy = Aggregate(AX=np.ones(prob.m), CX=1.0, tr=2.0)
     assert not busy.is_zero
 

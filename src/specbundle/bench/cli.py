@@ -38,8 +38,7 @@ from .problems import (ParseError, build_completion, build_maxcut,
 from .reference import ReferenceValues, completion_reference, maxcut_reference
 from .traceio import (TraceFormatError, read_summary, read_trace,
                       summary_dict, write_summary, write_trace)
-from .verify import (VerifyReport, check_descent_bounds,
-                     check_recorded_invariants, check_spectral_accuracy)
+from .verify import verify_run
 
 
 def _parse_kv(text, types, label):
@@ -219,17 +218,9 @@ def cmd_verify(args):
     if alpha is None:
         raise ValueError("summary does not record the penalty; pass --alpha")
     conf = summary["config"]
-    rep = VerifyReport()
-    rep.checks += check_descent_bounds(records, refs, conf["rho"], conf["beta"],
-                                       float(alpha), summary["max_norm_y"],
-                                       tol=args.tol)
-    inv = summary.get("invariants")
-    if inv is not None:
-        rep.checks += check_recorded_invariants(inv)
-    else:
-        print("note: run recorded no invariant telemetry "
-              "(solve with --check-invariants); dominance and membership skipped")
-    rep.checks += check_spectral_accuracy(samples=args.samples, seed=args.seed)
+    rep = verify_run(records, refs, conf["rho"], conf["beta"], float(alpha),
+                     summary["max_norm_y"], invariants=summary.get("invariants"),
+                     samples=args.samples, seed=args.seed, tol=args.tol)
     for line in rep.lines():
         print(line)
     return 0 if rep.passed else 1

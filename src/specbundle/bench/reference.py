@@ -17,6 +17,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .traceio import INTEGER, NUMBER, STRING, typed
+
 
 @dataclass
 class ReferenceValues:
@@ -50,30 +52,28 @@ class ReferenceValues:
         missing = [n for n in names if n not in d]
         if missing:
             raise ValueError(f"reference values lack {', '.join(missing)}")
-        for name, (kinds, what) in _FIELD_TYPES.items():
-            v = d[name]
-            if isinstance(v, bool) or not isinstance(v, kinds):
-                raise ValueError(f"reference value {name} must be {what}, got {v!r}")
+        for name, kind in _FIELD_TYPES.items():
+            typed(d[name], kind, f"reference value {name}")
         return cls(**{n: d[n] for n in names})
 
 
 # the JSON types each field of ReferenceValues accepts
-_NUMBER = ((int, float), "a number")
-_FIELD_TYPES = {"d_star": _NUMBER, "p_star": _NUMBER, "nuc": _NUMBER,
-                "rank": (int, "an integer"), "provenance": (str, "a string")}
+_FIELD_TYPES = {"d_star": NUMBER, "p_star": NUMBER, "nuc": NUMBER,
+                "rank": INTEGER, "provenance": STRING}
 
 
-def maxcut_factor_ascent(L, factor_rank=None, sweeps=4000, tol=1e-13, seed=0):
+def maxcut_factor_ascent(L, sweeps=4000, seed=0):
     """Maximize <L, R R^T> over unit rows of R by cyclic row updates.
 
     Each row update is the exact maximizer with the others fixed, so the
-    objective is monotone; with the factor rank above the barrier
-    sqrt(2n) the landscape has no spurious local maxima in practice and
-    the iteration converges to the SDP optimum.  Returns (R, value).
+    objective is monotone; with the factor rank ceil(sqrt(2n)) + 2, above
+    the barrier sqrt(2n), the landscape has no spurious local maxima in
+    practice and the iteration converges to the SDP optimum.  Stops early
+    once a sweep moves no entry by 1e-13.  Returns (R, value).
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
-    r = int(np.ceil(np.sqrt(2.0 * n))) + 2 if factor_rank is None else int(factor_rank)
+    r = int(np.ceil(np.sqrt(2.0 * n))) + 2
     rng = np.random.default_rng(seed)
     R = rng.standard_normal((n, r))
     R /= np.linalg.norm(R, axis=1, keepdims=True)
@@ -87,18 +87,19 @@ def maxcut_factor_ascent(L, factor_rank=None, sweeps=4000, tol=1e-13, seed=0):
             new = g / ng
             shift = max(shift, float(np.abs(new - R[i]).max()))
             R[i] = new
-        if shift < tol:
+        if shift < 1e-13:
             break
     value = float(np.sum((L @ R) * R))
     return R, value
 
 
-def numerical_rank(X, rel_tol=1e-6):
+def numerical_rank(X):
+    """Count of eigenvalues above 1e-6 of the largest (0 unless it is positive)."""
     vals = np.linalg.eigvalsh(X)
     top = float(vals.max())
     if top <= 0.0:
         return 0
-    return int(np.sum(vals > rel_tol * top))
+    return int(np.sum(vals > 1e-6 * top))
 
 
 def maxcut_reference(g, sweeps=4000, seed=0):

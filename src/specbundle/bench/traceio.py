@@ -116,35 +116,43 @@ def read_summary(path):
     if not isinstance(summary, dict):
         raise ValueError(f"{path}: summary must be a JSON object, "
                          f"got {type(summary).__name__}")
-    conf = _field(path, summary, "config", _OBJECT)
+    conf = _field(path, summary, "config", OBJECT)
     for key in ("rho", "beta"):
-        _field(path, conf, key, _NUMBER, prefix="config.")
-    _field(path, summary, "max_norm_y", _NUMBER)
-    _field(path, summary, "alpha_effective", _NUMBER, required=False)
-    inv = _field(path, summary, "invariants", _OBJECT, required=False)
+        _field(path, conf, key, NUMBER, prefix="config.")
+    _field(path, summary, "max_norm_y", NUMBER)
+    _field(path, summary, "alpha_effective", NUMBER, required=False)
+    inv = _field(path, summary, "invariants", OBJECT, required=False)
     if inv is not None:
         for f in fields(InvariantReport):
-            kind = (int, "an integer") if f.name == "checked" else _NUMBER
+            kind = INTEGER if f.name == "checked" else NUMBER
             _field(path, inv, f.name, kind, prefix="invariants.")
     return summary
 
 
-# the JSON types a summary field accepts
-_NUMBER = ((int, float), "a number")
-_OBJECT = (dict, "a JSON object")
-
-
 def _field(path, obj, key, kind, prefix="", required=True):
-    """obj[key] if it is of ``kind`` (booleans are not numbers), None if it
-    is absent or null and not required; ValueError naming it otherwise."""
+    """``typed(obj[key])``, or None if it is absent or null and not
+    required; ValueError naming the field otherwise."""
     v = obj.get(key)
     if v is None:
         if required:
             raise ValueError(f"{path}: summary lacks {prefix}{key}")
         return None
+    return typed(v, kind, f"{path}: summary field {prefix}{key}")
+
+
+# JSON types that ``typed`` checks a file's field against: (Python types, description)
+NUMBER = ((int, float), "a number")
+INTEGER = (int, "an integer")
+STRING = (str, "a string")
+OBJECT = (dict, "a JSON object")
+
+
+def typed(v, kind, name):
+    """``v`` if it is of ``kind`` (booleans are not numbers); otherwise a
+    ValueError reading "<name> must be <description>, got <v>"."""
     types, what = kind
     if isinstance(v, bool) or not isinstance(v, types):
-        raise ValueError(f"{path}: summary field {prefix}{key} must be {what}, got {v!r}")
+        raise ValueError(f"{name} must be {what}, got {v!r}")
     return v
 
 

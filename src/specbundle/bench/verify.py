@@ -103,31 +103,24 @@ def check_descent_bounds(records, refs, rho, beta, alpha, d_y, tol=1e-6):
     return out
 
 
-def check_recorded_invariants(invariants, tol_dominance=1e-7, tol_membership=1e-8):
-    """Turn the solver's live dominance/membership slacks into checks."""
-    out = []
+# (check name, recorded InvariantReport field, largest slack it may reach)
+_INVARIANT_LIMITS = (
+    ("model dominance (two-cut vs aggregate)", "simple_minus_model", 1e-8),
+    ("model dominance (aggregate vs objective)", "model_minus_f", 1e-7),
+    ("recycled-cut membership (reconstruction)", "membership_err", 1e-8),
+    ("recycled-cut membership (feasibility)", "membership_feas", 1e-8),
+)
+
+
+def check_recorded_invariants(invariants):
+    """Turn the solver's live dominance/membership slacks into checks,
+    each against its limit in ``_INVARIANT_LIMITS``."""
     if not invariants:
-        out.append(CheckResult("model dominance", False, np.inf, 0,
-                               "run carried no invariant telemetry"))
-        return out
+        return [CheckResult("model dominance", False, np.inf, 0,
+                            "run carried no invariant telemetry")]
     checked = int(invariants.get("checked", 0))
-    out.append(CheckResult(
-        "model dominance (two-cut vs aggregate)",
-        bool(invariants["simple_minus_model"] <= 1e-8), float(invariants["simple_minus_model"]),
-        checked))
-    out.append(CheckResult(
-        "model dominance (aggregate vs objective)",
-        bool(invariants["model_minus_f"] <= tol_dominance), float(invariants["model_minus_f"]),
-        checked))
-    out.append(CheckResult(
-        "recycled-cut membership (reconstruction)",
-        bool(invariants["membership_err"] <= tol_membership), float(invariants["membership_err"]),
-        checked))
-    out.append(CheckResult(
-        "recycled-cut membership (feasibility)",
-        bool(invariants["membership_feas"] <= tol_membership), float(invariants["membership_feas"]),
-        checked))
-    return out
+    return [CheckResult(name, bool(invariants[key] <= limit), float(invariants[key]), checked)
+            for name, key, limit in _INVARIANT_LIMITS]
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +147,19 @@ def sample_gapped_matrix(rng, n, r, delta):
     return symmetrize((Q * vals) @ Q.T), vals
 
 
-def check_spectral_accuracy(samples=200, seed=0, n_range=(3, 16), tol=1e-9):
+def check_spectral_accuracy(samples=200, seed=0):
     """Property check of the truncation-gap bounds on random instances.
 
-    Draws (X, Y, r, delta) with ||Y - X||_F <= delta and verifies the
-    two-sided Frobenius bound plus the global operator-norm bound.
+    Draws (X, Y, r, delta) with order 3 to 16 and ||Y - X||_F <= delta,
+    and verifies the two-sided Frobenius bound plus the global
+    operator-norm bound, each to slack 1e-9.
     """
     rng = np.random.default_rng(seed)
     worst_low = -np.inf
     worst_up = -np.inf
     worst_op = -np.inf
     for _ in range(samples):
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        n = int(rng.integers(3, 17))
         r = int(rng.integers(1, n))
         delta = float(np.exp(rng.uniform(np.log(0.05), np.log(2.0))))
         X, vals = sample_gapped_matrix(rng, n, r, delta)
@@ -181,11 +175,11 @@ def check_spectral_accuracy(samples=200, seed=0, n_range=(3, 16), tol=1e-9):
         op = 2.0 * float(np.linalg.norm(Y - X, 2))
         worst_op = max(worst_op, abs(gap) - op)
     out = [
-        CheckResult("spectral accuracy (nonnegativity)", bool(worst_low <= tol),
+        CheckResult("spectral accuracy (nonnegativity)", bool(worst_low <= 1e-9),
                     float(worst_low), samples),
-        CheckResult("spectral accuracy (gap bound)", bool(worst_up <= tol),
+        CheckResult("spectral accuracy (gap bound)", bool(worst_up <= 1e-9),
                     float(worst_up), samples),
-        CheckResult("spectral accuracy (operator bound)", bool(worst_op <= tol),
+        CheckResult("spectral accuracy (operator bound)", bool(worst_op <= 1e-9),
                     float(worst_op), samples),
     ]
     return out

@@ -39,8 +39,8 @@ import scipy.linalg
 from .linops import orthonormalize, symmetrize
 from .model import (Aggregate, dual_objective, model_value,
                     objective_with_spectrum, simple_model_value, zero_aggregate)
-from .sketch import (SketchState, sketch_init, sketch_reconstruct, sketch_scale,
-                     sketch_update)
+from .sketch import (LowRankFactors, SketchState, sketch_init, sketch_reconstruct,
+                     sketch_scale, sketch_update)
 from .subproblem import solve_subproblem
 
 _VARIANTS = ("block", "hr", "hybrid")
@@ -90,6 +90,10 @@ class SolverConfig:
             raise ValueError(f"unknown storage mode {self.storage!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        if self.inner_max_iter < 1:
+            raise ValueError(f"inner_max_iter must be positive, got {self.inner_max_iter}")
+        if self.sketch_rank is not None and self.sketch_rank < 1:
+            raise ValueError(f"sketch_rank must be positive, got {self.sketch_rank}")
         return self
 
 
@@ -132,19 +136,17 @@ class BundleState:
 
 @dataclass(eq=False)
 class StepInfo:
-    """Intermediate quantities of one step, consumed by the runtime
-    diagnostics and the tests; not part of the persisted trace."""
+    """What the runtime diagnostics and the tests need of one step beyond
+    its trace record and new state: the top eigenpairs at z, the candidate's
+    primal record X_t, the aggregate's raw trace, and under hr/hybrid the
+    recycled columns kept = V Q1 with their eigenvalues (None for block)."""
 
     sol: object
-    F_z: float
     vals: np.ndarray
     vecs: np.ndarray
-    V_prev: np.ndarray
-    agg_new: Aggregate
-    V_new: np.ndarray
     X_t: np.ndarray | SketchState
     tr_raw: float
-    Q1: np.ndarray | None
+    kept: np.ndarray | None
     lam_keep: np.ndarray | None
 
 
@@ -204,7 +206,7 @@ def step(prob, cfg, state):
     descent = is_descent_step(state.F_y, F_z, sol.model_at_z, cfg.beta)
 
     X_t = _record_update(state.agg.X, sol.eta, V, sol.S)
-    Q1 = lam_keep = None
+    kept = lam_keep = None
     if cfg.variant == "block":
         tr_raw = sol.tr
         agg_new = _finished_aggregate(prob, sol.AX, sol.CX, sol.tr, X_t)
@@ -212,7 +214,7 @@ def step(prob, cfg, state):
     else:
         lam, Q = scipy.linalg.eigh(symmetrize(sol.S))
         keep = min(cfg.resolved_hr_keep(), p)
-        Q1, lam_keep = Q[:, p - keep:], lam[p - keep:]
+        kept, lam_keep = V @ Q[:, p - keep:], lam[p - keep:]
         Q2, lam_rest = Q[:, :p - keep], lam[:p - keep]
         S_rest = symmetrize((Q2 * lam_rest) @ Q2.T)
         AX_raw = sol.eta * state.agg.AX + sol.ip.apply(S_rest)
@@ -221,7 +223,7 @@ def step(prob, cfg, state):
         X_raw = _record_update(state.agg.X, sol.eta, V, S_rest)
         agg_new = _finished_aggregate(prob, AX_raw, CX_raw, tr_raw, X_raw)
         fresh = vecs[:, :1] if cfg.variant == "hr" else vecs[:, :min(cfg.rbar, prob.n)]
-        V_new = orthonormalize(np.hstack([V @ Q1, fresh]))
+        V_new = orthonormalize(np.hstack([kept, fresh]))
 
     if descent:
         y_new, F_new, lam1_new = z, F_z, float(vals[0])
@@ -248,9 +250,8 @@ def step(prob, cfg, state):
                             F_y=F_new, lam1_y=lam1_new,
                             warm=(sol.eta, sol.S),
                             descent_steps=state.descent_steps + int(descent))
-    info = StepInfo(sol=sol, F_z=F_z, vals=vals, vecs=vecs, V_prev=V,
-                    agg_new=agg_new, V_new=V_new, X_t=X_t, tr_raw=tr_raw,
-                    Q1=Q1, lam_keep=lam_keep)
+    info = StepInfo(sol=sol, vals=vals, vecs=vecs, X_t=X_t, tr_raw=tr_raw,
+                    kept=kept, lam_keep=lam_keep)
     return new_state, rec, info
 
 
@@ -291,10 +292,11 @@ def subgradient_at(prob, lam1, v1):
     return -prob.b.copy()
 
 
-def check_model_dominance(prob, info, rng, report):
-    """At random probes y: the two-cut model stays below the refreshed
-    aggregate model, which stays below the true objective."""
-    z = info.sol.z
+def check_model_dominance(prob, state, rec, info, rng, report):
+    """At random probes y around the step's candidate: the two-cut model
+    stays below the refreshed aggregate model of ``state``, which stays
+    below the true objective."""
+    z = state.z
     g = subgradient_at(prob, float(info.vals[0]), info.vecs[:, 0])
     s = -prob.b + info.sol.AX
     scale_z = 1.0 + float(np.linalg.norm(z))
@@ -304,17 +306,18 @@ def check_model_dominance(prob, info, rng, report):
         if nd == 0.0:
             continue
         y = z + radius * scale_z * d / nd
-        sv = simple_model_value(info.F_z, g, s, info.sol.model_at_z, z, y)
-        mv = model_value(prob, info.agg_new, info.V_new, y)
+        sv = simple_model_value(rec.F_z, g, s, rec.Fbar_z, z, y)
+        mv = model_value(prob, state.agg, state.V, y)
         fv = dual_objective(prob, y)
         scale = 1.0 + abs(fv)
         report.simple_minus_model = max(report.simple_minus_model, (sv - mv) / scale)
         report.model_minus_f = max(report.model_minus_f, (mv - fv) / scale)
 
 
-def membership_certificates(prob, info):
+def membership_certificates(prob, state, info):
     """Explicit (eta, S) pairs writing the iteration's primal candidate and
-    the scaled top-eigenvector cut as members of the refreshed working set.
+    the scaled top-eigenvector cut as members of the refreshed working set
+    (the aggregate and basis of the step's new ``state``).
 
     Returns (reconstruction error, feasibility violation), both relative
     to alpha.  Requires explicit storage.
@@ -322,17 +325,17 @@ def membership_certificates(prob, info):
     if not isinstance(info.X_t, np.ndarray):
         raise ValueError("membership certificates need explicit storage")
     alpha = prob.alpha
-    Vn = info.V_new
+    agg, Vn = state.agg, state.V
     # candidate certificate: eta equals raw trace over alpha, S collects
     # whatever part of the subproblem maximizer was not folded into the
     # aggregate (zero for the block rule)
-    eta_c = min(info.tr_raw / alpha, 1.0) if not info.agg_new.is_zero else 0.0
-    if info.Q1 is None or info.Q1.shape[1] == 0:
+    eta_c = min(info.tr_raw / alpha, 1.0) if not agg.is_zero else 0.0
+    if info.kept is None or info.kept.shape[1] == 0:
         S_c = np.zeros((Vn.shape[1], Vn.shape[1]))
     else:
-        P = Vn.T @ (info.V_prev @ info.Q1)
+        P = Vn.T @ info.kept
         S_c = symmetrize((P * info.lam_keep) @ P.T)
-    recon = eta_c * info.agg_new.X + (Vn @ S_c) @ Vn.T
+    recon = eta_c * agg.X + (Vn @ S_c) @ Vn.T
     err = float(np.linalg.norm(recon - info.X_t, "fro")) / alpha
     lam_min_S = float(scipy.linalg.eigh(S_c, eigvals_only=True,
                                         subset_by_index=[0, 0])[0]) if S_c.size else 0.0
@@ -350,10 +353,10 @@ def membership_certificates(prob, info):
     return err, feas
 
 
-def _update_invariants(prob, info, rng, report):
-    check_model_dominance(prob, info, rng, report)
+def _update_invariants(prob, state, rec, info, rng, report):
+    check_model_dominance(prob, state, rec, info, rng, report)
     if isinstance(info.X_t, np.ndarray):
-        err, feas = membership_certificates(prob, info)
+        err, feas = membership_certificates(prob, state, info)
         report.membership_err = max(report.membership_err, err)
         report.membership_feas = max(report.membership_feas, feas)
     report.checked += 1
@@ -375,10 +378,13 @@ class RunStats:
 
 @dataclass(eq=False)
 class RunResult:
+    """``run``'s output.  primal is the last descent step's primal candidate
+    (the last step's when none descended): a dense array, or under
+    compressed storage the sketch's ``LowRankFactors`` reconstruction."""
+
     records: list
     state: BundleState
-    primal: np.ndarray | None
-    primal_factors: object | None
+    primal: np.ndarray | LowRankFactors
     stats: RunStats
 
 
@@ -410,7 +416,7 @@ def run(prob, cfg, y0=None):
                 f"iteration {rec.t}: inner solver stopped at its iteration cap "
                 f"(residual {info.sol.residual:.3e})")
         if report is not None:
-            _update_invariants(prob, info, rng, report)
+            _update_invariants(prob, state, rec, info, rng, report)
         max_norm_y = max(max_norm_y, float(np.linalg.norm(state.y)))
         last = info.X_t
         if rec.descent:
@@ -421,11 +427,9 @@ def run(prob, cfg, y0=None):
     if primal is None and records:
         warnings.append("no descent step taken; reporting the last candidate primal")
         primal = last
-    factors = None
     if isinstance(primal, SketchState):
-        primal, factors = None, sketch_reconstruct(primal)
+        primal = sketch_reconstruct(primal)
     stats = RunStats(stop_reason=stop_reason, iterations=len(records),
                      descent_steps=state.descent_steps, max_norm_y=max_norm_y,
                      warnings=warnings, invariants=report)
-    return RunResult(records=records, state=state, primal=primal,
-                     primal_factors=factors, stats=stats)
+    return RunResult(records=records, state=state, primal=primal, stats=stats)

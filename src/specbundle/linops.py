@@ -181,12 +181,12 @@ def top_eigs(M, r):
     return vals[order], _fix_signs(vecs[:, order])
 
 
-def orthonormalize(cols, rel_tol=None):
+def orthonormalize(cols):
     """Orthonormal basis for the column span, dropping rank-deficient columns.
 
     Raises RankError on an all-zero (or empty) input.  The returned basis
     spans the input columns up to singular values below
-    ``rel_tol * sigma_max`` (default: max(shape) * machine epsilon).
+    ``max(shape) * machine epsilon * sigma_max``.
     """
     A = np.asarray(cols, dtype=float)
     if A.ndim == 1:
@@ -194,7 +194,5 @@ def orthonormalize(cols, rel_tol=None):
     if A.size == 0 or np.abs(A).max() == 0.0:
         raise RankError("cannot orthonormalize an all-zero set of columns")
     U, s, _ = scipy.linalg.svd(A, full_matrices=False)
-    if rel_tol is None:
-        rel_tol = max(A.shape) * np.finfo(float).eps
-    keep = s > rel_tol * s[0]
+    keep = s > max(A.shape) * np.finfo(float).eps * s[0]
     return _fix_signs(U[:, keep])

@@ -127,10 +127,10 @@ def sketch_reconstruct(st, rank=None):
     return LowRankFactors(left=Q @ U[:, :r], weights=s[:r], right=Vt[:r])
 
 
-def _pinv_solve(A, B, cutoff=1e-10):
-    """pinv(A) @ B with relative singular-value cutoff."""
+def _pinv_solve(A, B):
+    """pinv(A) @ B, singular values below 1e-10 of the largest dropped."""
     U, s, Vt = scipy.linalg.svd(A, full_matrices=False)
-    keep = s > cutoff * s[0]
+    keep = s > 1e-10 * s[0]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     return (Vt.T * inv) @ (U.T @ B)

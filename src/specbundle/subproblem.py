@@ -177,18 +177,19 @@ def _stationarity_residual(ip, e, Ss):
     return np.sqrt((e - r_e) ** 2 + float(np.sum((Ss - r_S) ** 2)))
 
 
-def _quadratic_lipschitz(ip, rel_tol=1e-3, max_iter=200, seed=0):
+def _quadratic_lipschitz(ip):
     """Largest curvature of the quadratic part in scaled variables
-    (eta, S/alpha), estimated by power iteration on the Hessian."""
+    (eta, S/alpha), estimated by at most 200 power iterations on the
+    Hessian from a seed-0 start, to relative change 1e-3."""
     a = ip.alpha
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     p = ip.width
     de = rng.standard_normal()
     dS = symmetrize(rng.standard_normal((p, p)))
     scale = np.sqrt(de * de + float(np.sum(dS * dS)))
     de, dS = de / scale, dS / scale
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         # forward map into constraint space, then its adjoint, over rho
         r = de * ip.AX + a * ip.apply(dS)
         he = float(ip.AX @ r) / ip.rho
@@ -198,7 +199,7 @@ def _quadratic_lipschitz(ip, rel_tol=1e-3, max_iter=200, seed=0):
             return 0.0
         new = norm
         de, dS = he / norm, hS / norm
-        if abs(new - lam) <= rel_tol * max(new, 1e-300):
+        if abs(new - lam) <= 1e-3 * max(new, 1e-300):
             lam = new
             break
         lam = new
@@ -217,14 +218,27 @@ def _face_solves(H, rhs):
     return [u, np.linalg.lstsq(H, rhs, rcond=None)[0]]
 
 
-def _face_candidates(ip, Qo, TFull, G2Full, keep, eta_free):
+@cache
+def _svec_index(keep):
+    """Upper-triangle indices (iu, ju) of a keep x keep block, its svec
+    weights (2 off the diagonal) and its trace row (0 off the diagonal);
+    read-only, since every face of that order shares them."""
+    iu, ju = np.triu_indices(keep)
+    diag = iu == ju
+    out = (iu, ju, np.where(diag, 1.0, 2.0), np.where(diag, 1.0, 0.0))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _face_candidates(ip, U, DS, linS, eta_free):
     """Stationary points of the quadratic restricted to one face.
 
     The face freezes eta at zero unless ``eta_free`` and restricts S to
     U W U^T with W a free symmetric block over U, the leading ``keep``
-    columns of the rotated basis Qo; ``TFull``/``G2Full`` are the
-    constraint and linear blocks already rotated into that basis, so
-    each face only slices them.  Solved unconstrained (see
+    columns of the rotated basis; ``DS``/``linS`` are the constraint
+    columns and linear terms of W's upper triangle in svec weighting,
+    shared by the two faces of one ``keep``.  Solved unconstrained (see
     ``_face_solves``; the design can carry nearly flat valleys) and once
     with the trace cap pinned as an equality.  Results are projected onto
     the feasible set, so a wrong face or an indefinite KKT solve is
@@ -232,40 +246,26 @@ def _face_candidates(ip, Qo, TFull, G2Full, keep, eta_free):
     """
     a = ip.alpha
     p = ip.width
+    keep = U.shape[1]
     if keep == 0 and not eta_free:
         return [(0.0, np.zeros((p, p)))]
-    iu, ju = np.triu_indices(keep)
-    fac = np.where(iu == ju, 1.0, 2.0)
-    cols = []
-    lin = []
-    tvec = []
+    iu, ju, _, tvec = _svec_index(keep)
+    D, lin = DS, linS
     if eta_free:
-        cols.append(ip.AX[:, None])
-        lin.append([ip.c_eta])
-        tvec.append([a])
-    if keep:
-        cols.append(TFull[:, iu, ju] * fac)
-        lin.append(G2Full[iu, ju] * fac)
-        tvec.append(np.where(iu == ju, 1.0, 0.0))
-    D = np.concatenate(cols, axis=1)
-    lin = np.concatenate(lin)
-    tvec = np.concatenate(tvec)
+        D = np.concatenate([ip.AX[:, None], DS], axis=1)
+        lin = np.concatenate([[ip.c_eta], linS])
+        tvec = np.concatenate([[a], tvec])
     H = D.T @ D / ip.rho
     rhs = D.T @ ip.b / ip.rho - lin
     q = H.shape[0]
-    U = Qo[:, :keep]
 
     def unpack(u):
         if not np.all(np.isfinite(u)):
             return None
-        k = 0
-        eta_new = 0.0
-        if eta_free:
-            eta_new = float(u[0])
-            k = 1
+        eta_new = float(u[0]) if eta_free else 0.0
         W = np.zeros((keep, keep))
-        W[iu, ju] = u[k:]
-        W = symmetrize(W + np.triu(W, 1).T)
+        # + 0.0 maps -0.0 to 0.0, as symmetrizing the mirrored triangle does
+        W[iu, ju] = W[ju, iu] = u[int(eta_free):] + 0.0
         S_new = (U @ W) @ U.T if keep else np.zeros((p, p))
         return project_psd_simplex_hull(eta_new, S_new / a)
 
@@ -304,9 +304,11 @@ def _face_polish(ip, e, Ss):
     G2Full = symmetrize(Qo.T @ ip.G2 @ Qo)
     out = []
     for keep in range(p, -1, -1):
-        out += _face_candidates(ip, Qo, TFull, G2Full, keep, True)
+        iu, ju, fac, _ = _svec_index(keep)
+        U, DS, linS = Qo[:, :keep], TFull[:, iu, ju] * fac, G2Full[iu, ju] * fac
+        out += _face_candidates(ip, U, DS, linS, True)
         if e <= 0.5:
-            out += _face_candidates(ip, Qo, TFull, G2Full, keep, False)
+            out += _face_candidates(ip, U, DS, linS, False)
     return out
 
 
@@ -361,7 +363,7 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
             L *= 2.0
         return c_e, c_S, fc, L
 
-    def try_polish(e0, S0, f0, r0, cycles=4):
+    def try_polish(e0, S0, f0, r0):
         """Best face-refined point reachable from (e0, S0); face solves
         are iterated because the optimal eigenbasis is only approached,
         not known, at the current iterate.  Prefers a residual decrease;
@@ -375,7 +377,7 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
         best = None
         lower = None
         cur_e, cur_S = e0, S0
-        for cycle in range(cycles):
+        for cycle in range(4):
             sel = None
             for p_e, p_S in _face_polish(ip, cur_e, cur_S):
                 fp = g_val(p_e, p_S)

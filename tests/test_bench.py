@@ -454,12 +454,12 @@ def test_truncation_gap_examples():
 
 # -- command line ------------------------------------------------------------------
 
-def _solve_triangle(tmp_path, extra=()):
+def _solve_triangle(tmp_path, extra=(), invariants=True):
     trace = tmp_path / "trace.csv"
     summary = tmp_path / "summary.json"
     rc = main(["solve", "--problem", "maxcut", "--gen", "triangle",
                "--rbar", "2", "--max-iters", "20", "--target-gap", "1e-9",
-               "--auto-ref", "--check-invariants",
+               "--auto-ref", *(["--check-invariants"] if invariants else []),
                "--trace", str(trace), "--summary", str(summary), *extra])
     return rc, trace, summary
 
@@ -487,6 +487,16 @@ def test_cli_verify_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_verify_without_telemetry_exits_one(tmp_path, capsys):
+    rc, trace, summary = _solve_triangle(tmp_path, invariants=False)
+    assert rc == 0
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
+               "--samples", "40"])
+    assert rc == 1
+    fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
+    assert fails and all("no invariant telemetry" in l for l in fails)
 
 
 def test_cli_verify_rejects_tampered_trace(tmp_path, capsys):

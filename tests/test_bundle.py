@@ -7,9 +7,10 @@ import scipy.linalg
 
 import specbundle.bundle as bundle
 from specbundle import (Aggregate, BundleState, ConstraintMap, IterationRecord,
-                        SdpProblem, SketchState, SolverConfig, dual_objective,
-                        init_state, is_descent_step, membership_certificates, run,
-                        sketch_init, step, stopping_metric, symmetrize)
+                        LowRankFactors, SdpProblem, SketchState, SolverConfig,
+                        dual_objective, init_state, is_descent_step,
+                        membership_certificates, run, sketch_init,
+                        sketch_reconstruct, step, stopping_metric, symmetrize)
 from specbundle.bundle import _finished_aggregate, subgradient_at
 
 from conftest import rand_problem
@@ -35,6 +36,8 @@ def test_config_defaults_resolve():
     dict(hr_keep=-1),
     dict(storage="dense"),
     dict(max_iters=0),
+    dict(inner_max_iter=0, rbar=2),
+    dict(sketch_rank=0, storage="compressed"),
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
@@ -224,11 +227,11 @@ def test_explicit_block_record_is_scaled_candidate():
     for _ in range(4):
         prev = state
         state, _, info = step(prob, cfg, prev)
-        sol, V = info.sol, info.V_prev
+        sol, V = info.sol, prev.V
         want = symmetrize(sol.eta * prev.agg.X + (V @ sol.S) @ V.T)
         assert info.X_t.tobytes() == want.tobytes()
-        if not info.agg_new.is_zero:
-            assert (info.agg_new.X.tobytes()
+        if not state.agg.is_zero:
+            assert (state.agg.X.tobytes()
                     == (want * (prob.alpha / sol.tr)).tobytes())
     assert not prev.agg.is_zero
 
@@ -249,10 +252,10 @@ def test_compressed_step_sketch_update_calls(variant, calls, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(bundle, "sketch_update", counting)
-    _, _, info = step(prob, cfg, state)
+    new, _, info = step(prob, cfg, state)
     assert len(seen) == calls
     assert isinstance(info.X_t, SketchState)
-    assert isinstance(info.agg_new.X, SketchState)
+    assert isinstance(new.agg.X, SketchState)
 
 
 def test_zero_trace_reset_leaves_zeros():
@@ -342,10 +345,10 @@ def test_membership_requires_explicit_storage():
     prob = rand_problem(rng, n=6, m=4)
     cfg = SolverConfig(rbar=2, storage="compressed", sketch_rank=2)
     state = init_state(prob, cfg)
-    _, _, info = step(prob, cfg, state)
+    new, _, info = step(prob, cfg, state)
     assert isinstance(info.X_t, SketchState)
     with pytest.raises(ValueError):
-        membership_certificates(prob, info)
+        membership_certificates(prob, new, info)
 
 
 def test_subgradient_branches():
@@ -437,7 +440,29 @@ def test_run_compressed_storage_produces_factors():
     prob = rand_problem(rng, n=8, m=4)
     cfg = SolverConfig(rbar=2, max_iters=8, storage="compressed", sketch_rank=3)
     res = run(prob, cfg)
-    assert res.primal is None
-    assert res.primal_factors is not None
-    dense = res.primal_factors.dense()
+    assert isinstance(res.primal, LowRankFactors)
+    dense = res.primal.dense()
     assert dense.shape == (8, 8)
+
+
+@pytest.mark.parametrize("storage", ["explicit", "compressed"])
+def test_run_primal_is_last_descent_record(storage):
+    # one primal field for both storage modes: the last descent step's
+    # record, reconstructed as factors when it is a sketch
+    rng = np.random.default_rng(17)
+    prob = rand_problem(rng, n=8, m=4)
+    cfg = SolverConfig(variant="hr", rbar=2, max_iters=8, storage=storage, sketch_rank=3)
+    state, want = init_state(prob, cfg), None
+    for _ in range(cfg.max_iters):
+        state, rec, info = step(prob, cfg, state)
+        if rec.descent:
+            want = info.X_t
+    assert want is not None
+    res = run(prob, cfg)
+    if storage == "explicit":
+        assert res.primal.tobytes() == want.tobytes()
+    else:
+        assert isinstance(res.primal, LowRankFactors)
+        want = sketch_reconstruct(want)
+        for name in ("left", "weights", "right"):
+            assert getattr(res.primal, name).tobytes() == getattr(want, name).tobytes()

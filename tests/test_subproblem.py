@@ -432,6 +432,68 @@ def test_face_solve_reuse_bitwise_equals_second_lstsq():
     assert np.array_equal(exact, np.linalg.lstsq(H, rhs, rcond=None)[0])
 
 
+def _face_polish_reference(ip, e, Ss):
+    """The face ladder with every face's index data and columns built
+    afresh and W symmetrized from its upper triangle."""
+    a, p = ip.alpha, ip.width
+    lam, Q = subproblem._eigh(symm(Ss))
+    Qo = Q[:, np.argsort(lam)[::-1]]
+    TFull = np.matmul(Qo.T, np.matmul(ip.T, Qo))
+    G2Full = symm(Qo.T @ ip.G2 @ Qo)
+    out = []
+    for keep in range(p, -1, -1):
+        for eta_free in (True, False) if e <= 0.5 else (True,):
+            if keep == 0 and not eta_free:
+                out.append((0.0, np.zeros((p, p))))
+                continue
+            iu, ju = np.triu_indices(keep)
+            fac = np.where(iu == ju, 1.0, 2.0)
+            cols, lin, tvec = [], [], []
+            if eta_free:
+                cols, lin, tvec = [ip.AX[:, None]], [[ip.c_eta]], [[a]]
+            if keep:
+                cols.append(TFull[:, iu, ju] * fac)
+                lin.append(G2Full[iu, ju] * fac)
+                tvec.append(np.where(iu == ju, 1.0, 0.0))
+            D, lin, tvec = (np.concatenate(cols, axis=1), np.concatenate(lin),
+                            np.concatenate(tvec))
+            H, rhs = D.T @ D / ip.rho, D.T @ ip.b / ip.rho - lin
+            q = H.shape[0]
+            K = np.zeros((q + 1, q + 1))
+            K[:q, :q], K[:q, q], K[q, :q] = H, tvec, tvec
+            kkt = np.linalg.lstsq(K, np.concatenate([rhs, [a]]), rcond=1e-12)[0][:q]
+            sols = [u for u in subproblem._face_solves(H, rhs)
+                    if float(np.abs(u).max(initial=0.0)) <= 1e10]
+            for u in [*sols, kkt]:
+                if not np.all(np.isfinite(u)):
+                    continue
+                W = np.zeros((keep, keep))
+                W[iu, ju] = u[1:] if eta_free else u
+                W = symm(W + np.triu(W, 1).T)
+                U = Qo[:, :keep]
+                S = (U @ W) @ U.T if keep else np.zeros((p, p))
+                out.append(project_psd_simplex_hull(float(u[0]) if eta_free else 0.0, S / a))
+    return out
+
+
+def test_face_ladder_bitwise_equals_per_face_construction():
+    rng = np.random.default_rng(33)
+    for p in range(1, 7):
+        prob, agg, V, y, rho = rand_setup(rng, n=9, m=8, p=p)
+        ip = InnerProblem.build(prob, agg, V, y, rho)
+        for e in (0.2, 0.8):
+            F = rng.standard_normal((p, p))
+            Ss = symm(F @ F.T)
+            Ss *= (1.0 - e) / np.trace(Ss)
+            got = subproblem._face_polish(ip, e, Ss)
+            want = _face_polish_reference(ip, e, Ss)
+            assert len(got) == len(want)
+            # bytes, not values: a zero's sign must match too
+            for (ge, gS), (we, wS) in zip(got, want):
+                assert np.float64(ge).tobytes() == np.float64(we).tobytes()
+                assert gS.tobytes() == wS.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_hull_projection_rejects_non_finite(bad):
     S = np.eye(3)

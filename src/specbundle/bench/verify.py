@@ -66,40 +66,35 @@ def _relslack(lhs, rhs):
     return (lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
 
+# the per-descent-step bounds, in the order of the slacks each row yields
+_DESCENT_BOUNDS = ("primal feasibility bound", "dual feasibility bound",
+                   "gap upper bound", "gap lower bound")
+
+
 def check_descent_bounds(records, refs, rho, beta, alpha, d_y, tol=1e-6):
-    """The three per-descent-step bounds, from trace rows and references."""
-    f_star = refs.d_star
-    D = refs.nuc
-    out = []
-    worst = {"primal feasibility bound": (-np.inf, 0),
-             "dual feasibility bound": (-np.inf, 0),
-             "gap upper bound": (-np.inf, 0),
-             "gap lower bound": (-np.inf, 0)}
+    """The bounds of ``_DESCENT_BOUNDS`` at each descent step, from trace
+    rows and references."""
+    f_star, D = refs.d_star, refs.nuc
+    rows = []
     for rec in records:
         if not rec.descent:
             continue
         drop = max(rec.F_y - f_star, 0.0)
         budget = np.sqrt(2.0 * rho / beta * drop)
-        w, c = worst["primal feasibility bound"]
-        worst["primal feasibility bound"] = (
-            max(w, _relslack(rec.feas ** 2, 2.0 * rho / beta * drop)), c + 1)
-        w, c = worst["dual feasibility bound"]
-        worst["dual feasibility bound"] = (
-            max(w, _relslack(-drop / D - rec.lammin, 0.0)), c + 1)
         gap = rec.dval - rec.pval
-        w, c = worst["gap upper bound"]
-        worst["gap upper bound"] = (
-            max(w, _relslack(gap, alpha / D * drop + budget * d_y)), c + 1)
-        w, c = worst["gap lower bound"]
-        worst["gap lower bound"] = (
-            max(w, _relslack(-(1.0 - beta) / beta * drop - budget * d_y, gap)), c + 1)
+        rows.append((_relslack(rec.feas ** 2, 2.0 * rho / beta * drop),
+                     _relslack(-drop / D - rec.lammin, 0.0),
+                     _relslack(gap, alpha / D * drop + budget * d_y),
+                     _relslack(-(1.0 - beta) / beta * drop - budget * d_y, gap)))
+    if not rows:
+        return [CheckResult(name, True, -np.inf, 0, "no descent steps") for name in _DESCENT_BOUNDS]
     note = "" if alpha >= 2.0 * D - 1e-9 else "penalty below twice the solution nuclear norm"
-    for name, (w, c) in worst.items():
-        if c == 0:
-            out.append(CheckResult(name, True, -np.inf, 0, "no descent steps"))
-            continue
+    out = []
+    for name, slacks in zip(_DESCENT_BOUNDS, zip(*rows)):
+        # -inf first, so a NaN slack is skipped as a running max would skip it
+        w = max((-np.inf, *slacks))
         extra = note if name == "dual feasibility bound" else ""
-        out.append(CheckResult(name, bool(w <= tol), float(w), c, extra))
+        out.append(CheckResult(name, bool(w <= tol), float(w), len(rows), extra))
     return out
 
 
@@ -114,12 +109,15 @@ _INVARIANT_LIMITS = (
 
 def check_recorded_invariants(invariants):
     """Turn the solver's live dominance/membership slacks into checks,
-    each against its limit in ``_INVARIANT_LIMITS``."""
+    each against its limit in ``_INVARIANT_LIMITS``; each fails when the
+    run recorded no checked step."""
     if not invariants:
         return [CheckResult("model dominance", False, np.inf, 0,
                             "run carried no invariant telemetry")]
     checked = int(invariants.get("checked", 0))
-    return [CheckResult(name, bool(invariants[key] <= limit), float(invariants[key]), checked)
+    note = "" if checked else "no checks ran"
+    return [CheckResult(name, bool(checked and invariants[key] <= limit),
+                        float(invariants[key]), checked, note)
             for name, key, limit in _INVARIANT_LIMITS]
 
 

@@ -1,24 +1,20 @@
-"""Proximal bundle loop over the penalized dual, three bundle-update rules.
+"""Proximal bundle loop over the penalized dual, one bundle-update rule.
 
-All variants share the same skeleton per iteration:
+Each iteration:
 
 1. solve the regularized subproblem at the proximal center y, producing
    a candidate z and the maximizing primal pair (eta, S);
 2. evaluate the true objective at z (the single eigensolve per iteration)
    and apply the descent test  F(z) <= F(y) - beta * (F(y) - model(z));
 3. fold the iteration's primal candidate X = eta Xbar + V S V^T into the
-   aggregate;
-4. rebuild the bundle basis from the spectrum at z.
+   aggregate, except the part spanned by the r_p leading eigenvectors of S;
+4. rebuild the bundle basis from those r_p vectors (rotated through V) and
+   the r_c top eigenvectors at z.
 
-They differ only in steps 3 and 4:
-
-* ``block``: the aggregate is replaced by X outright and the basis by the
-  top eigenvectors at z (full spectral refresh).
-* ``hr``: only the trailing eigenpart of S is folded into the aggregate;
-  the basis keeps the leading eigenvectors of S (rotated through V) and
-  appends one new top eigenvector at z.
-* ``hybrid``: same split of S, but the basis appends the full set of top
-  eigenvectors at z, so the width can reach hr_keep + rbar.
+This is the Helmberg-Rendl update; the variants are its settings:
+``block`` is (r_p, r_c) = (0, rbar), a full spectral refresh in which the
+whole candidate becomes the aggregate; ``hr`` is (hr_keep, 1); ``hybrid``
+is (hr_keep, rbar), so its width can reach hr_keep + rbar.
 
 The aggregate matrix is stored rescaled to trace alpha (see model module)
 so the recycled-cut certificates below stay inside the trace-capped set.
@@ -26,7 +22,8 @@ so the recycled-cut certificates below stay inside the trace-capped set.
 Only the aggregate's caches A(Xbar), <C, Xbar>, tr(Xbar) move the iterates.
 The primal record (``Aggregate.X``, ``StepInfo.X_t``) is output only: a
 dense matrix, or its two-sided sketch in compressed storage, chosen once by
-``init_state`` and updated only by ``_record_update`` and rescaling.
+``init_state``, updated only by ``_record_update`` and rescaling, and
+compared only by ``_record_distance``.
 """
 
 from __future__ import annotations
@@ -138,16 +135,17 @@ class BundleState:
 class StepInfo:
     """What the runtime diagnostics and the tests need of one step beyond
     its trace record and new state: the top eigenpairs at z, the candidate's
-    primal record X_t, the aggregate's raw trace, and under hr/hybrid the
-    recycled columns kept = V Q1 with their eigenvalues (None for block)."""
+    primal record X_t, the aggregate's raw trace, and the r_p recycled
+    columns kept = V Q1 with their eigenvalues lam_keep (n x 0 and empty
+    when nothing is recycled)."""
 
     sol: object
     vals: np.ndarray
     vecs: np.ndarray
     X_t: np.ndarray | SketchState
     tr_raw: float
-    kept: np.ndarray | None
-    lam_keep: np.ndarray | None
+    kept: np.ndarray
+    lam_keep: np.ndarray
 
 
 def is_descent_step(f_ref, f_cand, model_cand, beta):
@@ -178,6 +176,15 @@ def _record_update(X, scale, V, S):
     return symmetrize(scale * X + (V @ S) @ V.T)
 
 
+def _record_distance(X, Y):
+    """Frobenius distance of two records, for sketches its estimate from the
+    probes max(|dYc|_F/sqrt(k), |dYr|_F/sqrt(l)), as E|dX Psi|_F^2 = k|dX|_F^2."""
+    if isinstance(X, SketchState):
+        return max(float(np.linalg.norm(X.Yc - Y.Yc)) / X.k ** 0.5,
+                   float(np.linalg.norm(X.Yr - Y.Yr)) / X.l ** 0.5)
+    return float(np.linalg.norm(X - Y, "fro"))
+
+
 def _finished_aggregate(prob, AX, CX, tr, X):
     """Normalize the raw updated aggregate, caches and record X, to trace
     alpha; below the trace floor it is reset to zero."""
@@ -206,14 +213,17 @@ def step(prob, cfg, state):
     descent = is_descent_step(state.F_y, F_z, sol.model_at_z, cfg.beta)
 
     X_t = _record_update(state.agg.X, sol.eta, V, sol.S)
-    kept = lam_keep = None
-    if cfg.variant == "block":
-        tr_raw = sol.tr
+    # (r_p, r_c): leading eigenvectors of S recycled, top ones at z appended
+    r_p, r_c = {"block": (0, cfg.rbar), "hr": (cfg.resolved_hr_keep(), 1),
+                "hybrid": (cfg.resolved_hr_keep(), cfg.rbar)}[cfg.variant]
+    keep, fresh = min(r_p, p), vecs[:, :r_c]
+    if keep == 0:
+        # nothing recycled: the whole candidate becomes the aggregate
+        kept, lam_keep, tr_raw = V[:, :0], np.zeros(0), sol.tr
         agg_new = _finished_aggregate(prob, sol.AX, sol.CX, sol.tr, X_t)
-        V_new = vecs[:, :min(cfg.rbar, prob.n)]
+        V_new = fresh
     else:
         lam, Q = scipy.linalg.eigh(symmetrize(sol.S))
-        keep = min(cfg.resolved_hr_keep(), p)
         kept, lam_keep = V @ Q[:, p - keep:], lam[p - keep:]
         Q2, lam_rest = Q[:, :p - keep], lam[:p - keep]
         S_rest = symmetrize((Q2 * lam_rest) @ Q2.T)
@@ -222,7 +232,6 @@ def step(prob, cfg, state):
         tr_raw = sol.eta * state.agg.tr + float(np.sum(lam_rest))
         X_raw = _record_update(state.agg.X, sol.eta, V, S_rest)
         agg_new = _finished_aggregate(prob, AX_raw, CX_raw, tr_raw, X_raw)
-        fresh = vecs[:, :1] if cfg.variant == "hr" else vecs[:, :min(cfg.rbar, prob.n)]
         V_new = orthonormalize(np.hstack([kept, fresh]))
 
     if descent:
@@ -317,28 +326,21 @@ def check_model_dominance(prob, state, rec, info, rng, report):
 def membership_certificates(prob, state, info):
     """Explicit (eta, S) pairs writing the iteration's primal candidate and
     the scaled top-eigenvector cut as members of the refreshed working set
-    (the aggregate and basis of the step's new ``state``).
-
+    (the aggregate and basis of the step's new ``state``); the candidate's
+    is built by the step's own ``_record_update``, under either storage.
     Returns (reconstruction error, feasibility violation), both relative
-    to alpha.  Requires explicit storage.
+    to alpha.
     """
-    if not isinstance(info.X_t, np.ndarray):
-        raise ValueError("membership certificates need explicit storage")
     alpha = prob.alpha
     agg, Vn = state.agg, state.V
     # candidate certificate: eta equals raw trace over alpha, S collects
-    # whatever part of the subproblem maximizer was not folded into the
-    # aggregate (zero for the block rule)
+    # the recycled part of the subproblem maximizer (zero when r_p = 0)
     eta_c = min(info.tr_raw / alpha, 1.0) if not agg.is_zero else 0.0
-    if info.kept is None or info.kept.shape[1] == 0:
-        S_c = np.zeros((Vn.shape[1], Vn.shape[1]))
-    else:
-        P = Vn.T @ info.kept
-        S_c = symmetrize((P * info.lam_keep) @ P.T)
-    recon = eta_c * agg.X + (Vn @ S_c) @ Vn.T
-    err = float(np.linalg.norm(recon - info.X_t, "fro")) / alpha
-    lam_min_S = float(scipy.linalg.eigh(S_c, eigvals_only=True,
-                                        subset_by_index=[0, 0])[0]) if S_c.size else 0.0
+    P = Vn.T @ info.kept
+    S_c = symmetrize((P * info.lam_keep) @ P.T)
+    recon = _record_update(agg.X, eta_c, Vn, S_c)
+    err = _record_distance(recon, info.X_t) / alpha
+    lam_min_S = float(scipy.linalg.eigh(S_c, eigvals_only=True, subset_by_index=[0, 0])[0])
     feas = max(eta_c * alpha + float(np.trace(S_c)) - alpha, 0.0) / alpha
     feas = max(feas, max(-eta_c, 0.0), max(-lam_min_S, 0.0) / alpha)
 
@@ -355,10 +357,9 @@ def membership_certificates(prob, state, info):
 
 def _update_invariants(prob, state, rec, info, rng, report):
     check_model_dominance(prob, state, rec, info, rng, report)
-    if isinstance(info.X_t, np.ndarray):
-        err, feas = membership_certificates(prob, state, info)
-        report.membership_err = max(report.membership_err, err)
-        report.membership_feas = max(report.membership_feas, feas)
+    err, feas = membership_certificates(prob, state, info)
+    report.membership_err = max(report.membership_err, err)
+    report.membership_feas = max(report.membership_feas, feas)
     report.checked += 1
 
 

@@ -499,6 +499,25 @@ def test_cli_verify_without_telemetry_exits_one(tmp_path, capsys):
     assert fails and all("no invariant telemetry" in l for l in fails)
 
 
+def test_cli_verify_fails_summary_with_zero_checks(tmp_path, capsys):
+    # a summary that records the invariant slacks but no checked step
+    # carries no evidence for them
+    rc, trace, summary = _solve_triangle(tmp_path)
+    assert rc == 0
+    data = json.loads(summary.read_text())
+    assert data["invariants"]["checked"] > 0
+    data["invariants"]["checked"] = 0
+    summary.write_text(json.dumps(data))
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
+               "--samples", "40"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [l for l in lines if l.startswith("FAIL")]
+    assert len(fails) == 4
+    assert all("over 0 checks (no checks ran)" in l for l in fails)
+    assert not any(l.startswith("PASS") and "over 0 checks" in l for l in lines)
+
+
 def test_cli_verify_rejects_tampered_trace(tmp_path, capsys):
     rc, trace, summary = _solve_triangle(tmp_path)
     assert rc == 0

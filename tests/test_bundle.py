@@ -1,6 +1,8 @@
 """Outer bundle iteration: configuration guards, a scripted scalar-problem
 step oracle, aggregate bookkeeping, variant equivalences, and the driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,6 +13,7 @@ from specbundle import (Aggregate, BundleState, ConstraintMap, IterationRecord,
                         dual_objective, init_state, is_descent_step,
                         membership_certificates, run, sketch_init,
                         sketch_reconstruct, step, stopping_metric, symmetrize)
+from specbundle.bench import build_maxcut, gen_er_graph
 from specbundle.bundle import _finished_aggregate, subgradient_at
 
 from conftest import rand_problem
@@ -276,21 +279,23 @@ def test_zero_trace_reset_leaves_zeros():
 # -- variant equivalences ------------------------------------------------------
 
 def test_hybrid_keep_zero_matches_block():
+    # hr_keep=0 recycles nothing, so hybrid is the block rule: the same
+    # arithmetic, bit for bit
     rng = np.random.default_rng(3)
     prob = rand_problem(rng, n=6, m=4)
     y0 = rng.normal(size=4)
     cfg_b = SolverConfig(variant="block", rbar=2, rho=1.2)
     cfg_h = SolverConfig(variant="hybrid", rbar=2, hr_keep=0, rho=1.2)
-    sb, rb, ib = step(prob, cfg_b, init_state(prob, cfg_b, y0=y0.copy()))
-    sh, rh, ih = step(prob, cfg_h, init_state(prob, cfg_h, y0=y0.copy()))
-    # same candidate, same aggregate, same bundle span
-    assert abs(rb.F_z - rh.F_z) <= 1e-10 * (1 + abs(rb.F_z))
-    assert np.abs(sb.agg.AX - sh.agg.AX).max() <= 1e-9
-    assert abs(sb.agg.CX - sh.agg.CX) <= 1e-9
-    assert abs(sb.agg.tr - sh.agg.tr) <= 1e-12
-    Pb = sb.V @ sb.V.T
-    Ph = sh.V @ sh.V.T
-    assert np.abs(Pb - Ph).max() <= 1e-9
+    sb = init_state(prob, cfg_b, y0=y0.copy())
+    sh = init_state(prob, cfg_h, y0=y0.copy())
+    for _ in range(6):
+        sb, rb, ib = step(prob, cfg_b, sb)
+        sh, rh, ih = step(prob, cfg_h, sh)
+        assert repr(rb) == repr(rh)
+        assert sb.V.tobytes() == sh.V.tobytes()
+        assert sb.agg.AX.tobytes() == sh.agg.AX.tobytes()
+        assert ib.X_t.tobytes() == ih.X_t.tobytes()
+        assert ih.kept.shape == (6, 0) and ih.lam_keep.shape == (0,)
 
 
 def test_hr_equals_hybrid_at_width_one():
@@ -340,15 +345,40 @@ def test_warm_start_width_mismatch_is_discarded():
 
 # -- diagnostics ----------------------------------------------------------------
 
-def test_membership_requires_explicit_storage():
+@pytest.mark.parametrize("storage", ["explicit", "compressed"])
+def test_membership_detects_doctored_record(storage):
+    # the certificate rebuilds the record through the step's own update, so
+    # a rank-one edit of X_t of Frobenius size 1e-6 alpha shows in both
+    # storages (the sketch's error is its probe estimate of that size)
     rng = np.random.default_rng(7)
     prob = rand_problem(rng, n=6, m=4)
-    cfg = SolverConfig(rbar=2, storage="compressed", sketch_rank=2)
+    cfg = SolverConfig(variant="hr", rbar=2, storage=storage, sketch_rank=2)
     state = init_state(prob, cfg)
-    new, _, info = step(prob, cfg, state)
-    assert isinstance(info.X_t, SketchState)
-    with pytest.raises(ValueError):
-        membership_certificates(prob, new, info)
+    for _ in range(3):
+        state, _, info = step(prob, cfg, state)
+    assert not state.agg.is_zero and info.kept.shape[1] == 1
+    err, feas = membership_certificates(prob, state, info)
+    assert err < 1e-13 and feas < 1e-13
+    u = rng.normal(size=(6, 1))
+    u /= np.linalg.norm(u)
+    edit = bundle._record_update(info.X_t, 1.0, u, np.array([[1e-6 * prob.alpha]]))
+    err, _ = membership_certificates(prob, state, replace(info, X_t=edit))
+    assert 1e-8 < err < 1e-5
+
+
+def test_compressed_membership_matches_explicit_twin():
+    # under compressed storage the certificate runs on the sketches; its
+    # error is of the explicit run's order, not a skipped 0.0
+    prob = build_maxcut(gen_er_graph(30, 0.2, 0))
+    errs = {}
+    for storage in ("explicit", "compressed"):
+        cfg = SolverConfig(variant="hr", rbar=3, max_iters=25, storage=storage,
+                           sketch_rank=3, check_invariants=True)
+        rep = run(prob, cfg).stats.invariants
+        assert rep.checked == 25 and rep.membership_feas <= 1e-8
+        errs[storage] = rep.membership_err
+    assert 0.0 < errs["compressed"] <= 1e-8
+    assert errs["explicit"] / 10 <= errs["compressed"] <= 10 * errs["explicit"]
 
 
 def test_subgradient_branches():

@@ -1,4 +1,5 @@
-"""Write the seed-0 solve traces and summaries of the four benchmark workloads.
+"""Write the seed-0 solve traces and summaries of the four benchmark
+workloads and of twelve small runs.
 
     python3 tools/seed_traces.py OUTDIR
 
@@ -6,11 +7,20 @@ Solves each workload of ``perfbench/workloads.py`` once, at seed 0, with
 the solver from this checkout's ``src/``, and writes its ``write_trace``
 CSV to ``OUTDIR/<workload>.csv`` and its ``summary_dict`` (invariant
 slacks, warnings, stop reason, ``max_norm_y``, final objective) to
-``OUTDIR/<workload>.json``.  Both files write floats that parse back to
-the same bits (17 significant digits in the CSV, Python's round-trip
-``repr`` in the JSON), so two checkouts that run the same arithmetic
-give byte-identical files, and a change that must leave the iterates
-alone is checked with
+``OUTDIR/<workload>.json``.
+
+It then writes the same two files to ``OUTDIR/small/<name>.csv|json``
+for twelve small runs: max-cut on an Erdos-Renyi graph (n=30, p=0.2,
+seed 0) and matrix completion (d=8, rank 2, p_obs 0.5, seed 0), each
+with the block, hr and hybrid rules in explicit and in compressed
+storage (``sketch_rank=3``); all with ``rbar=3``, ``max_iters=60``,
+``inner_max_iter=60`` (so inner-solver cap warnings occur) and the
+invariant diagnostics on.
+
+Both files write floats that parse back to the same bits (17 significant
+digits in the CSV, Python's round-trip ``repr`` in the JSON), so two
+checkouts that run the same arithmetic give byte-identical files, and a
+change that must leave the iterates alone is checked with
 
     python3 tools/seed_traces.py /tmp/before     # in the parent checkout
     python3 tools/seed_traces.py /tmp/after      # in the changed checkout
@@ -18,7 +28,7 @@ alone is checked with
 
 BLAS and OpenMP are pinned to one thread before numpy loads, as in
 ``perfbench/run.py``, because the thread count changes the trajectory.
-The four solves take about half a minute on two cores.
+All sixteen solves take about 50 s on two cores.
 """
 
 import os
@@ -33,9 +43,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from specbundle import run  # noqa: E402
-from specbundle.bench import summary_dict, write_summary, write_trace  # noqa: E402
+from specbundle import SolverConfig, run  # noqa: E402
+from specbundle.bench import (build_completion, build_maxcut, gen_completion,  # noqa: E402
+                              gen_er_graph, summary_dict, write_summary, write_trace)
 from workloads import WORKLOADS, set_up  # noqa: E402
+
+
+def small_runs():
+    """(name, problem, config) of the twelve small runs."""
+    probs = (("maxcut-30", build_maxcut(gen_er_graph(30, 0.2, 0))),
+             ("completion-8", build_completion(gen_completion(8, 2, 0.5, 0))))
+    storages = (("explicit", {}), ("compressed", dict(storage="compressed", sketch_rank=3)))
+    for pname, prob in probs:
+        for variant in ("block", "hr", "hybrid"):
+            for sname, kw in storages:
+                cfg = SolverConfig(variant=variant, rbar=3, max_iters=60, inner_max_iter=60,
+                                   check_invariants=True, **kw)
+                yield f"{pname}-{variant}-{sname}", prob, cfg
+
+
+def write_run(out, name, prob, cfg):
+    res = run(prob, cfg)
+    path = out / f"{name}.csv"
+    write_trace(str(path), res.records, cfg.rbar)
+    write_summary(str(out / f"{name}.json"),
+                  summary_dict(cfg, res, alpha_effective=prob.alpha))
+    print(f"{name}: {len(res.records)} iterations -> {path}")
 
 
 def main(argv=None):
@@ -43,16 +76,11 @@ def main(argv=None):
     ap.add_argument("outdir", help="directory for the <workload>.csv/.json files")
     args = ap.parse_args(argv)
     out = Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    (out / "small").mkdir(parents=True, exist_ok=True)
     for name, wl in WORKLOADS.items():
-        cfg = wl.solver_config(0)
-        prob = set_up(wl).prob
-        res = run(prob, cfg)
-        path = out / f"{name}.csv"
-        write_trace(str(path), res.records, cfg.rbar)
-        write_summary(str(out / f"{name}.json"),
-                      summary_dict(cfg, res, alpha_effective=prob.alpha))
-        print(f"{name}: {len(res.records)} iterations -> {path}")
+        write_run(out, name, set_up(wl).prob, wl.solver_config(0))
+    for name, prob, cfg in small_runs():
+        write_run(out / "small", name, prob, cfg)
     return 0
 
 

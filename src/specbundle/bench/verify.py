@@ -91,8 +91,8 @@ def check_descent_bounds(records, refs, rho, beta, alpha, d_y, tol=1e-6):
     note = "" if alpha >= 2.0 * D - 1e-9 else "penalty below twice the solution nuclear norm"
     out = []
     for name, slacks in zip(_DESCENT_BOUNDS, zip(*rows)):
-        # -inf first, so a NaN slack is skipped as a running max would skip it
-        w = max((-np.inf, *slacks))
+        # a NaN slack fails its bound; max() alone would skip it
+        w = np.nan if np.isnan(slacks).any() else max(slacks)
         extra = note if name == "dual feasibility bound" else ""
         out.append(CheckResult(name, bool(w <= tol), float(w), len(rows), extra))
     return out

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linops import orthonormalize, symmetrize
+from .linops import _eigh, orthonormalize, symmetrize
 from .model import (Aggregate, dual_objective, model_value,
                     objective_with_spectrum, simple_model_value, zero_aggregate)
 from .sketch import (LowRankFactors, SketchState, sketch_init, sketch_reconstruct,
@@ -223,7 +223,7 @@ def step(prob, cfg, state):
         agg_new = _finished_aggregate(prob, sol.AX, sol.CX, sol.tr, X_t)
         V_new = fresh
     else:
-        lam, Q = scipy.linalg.eigh(symmetrize(sol.S))
+        lam, Q = _eigh(sol.S)
         kept, lam_keep = V @ Q[:, p - keep:], lam[p - keep:]
         Q2, lam_rest = Q[:, :p - keep], lam[:p - keep]
         S_rest = symmetrize((Q2 * lam_rest) @ Q2.T)

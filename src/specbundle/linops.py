@@ -7,6 +7,7 @@ updates) reduces to a handful of primitives collected here:
   adjoint ``y -> sum_i y_i A_i``,
 * compressing the map through a tall orthonormal basis,
 * partial symmetric eigensolves with a deterministic sign convention,
+  and a full one bitwise equal to ``scipy.linalg.eigh``,
 * rank-revealing orthonormalization.
 
 Constraint matrices are sparse symmetric and stored as coordinate triples
@@ -17,9 +18,11 @@ kept exactly symmetric by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 
 class DimensionError(ValueError):
@@ -161,6 +164,30 @@ class ConstraintMap:
         T = np.zeros((self.m, p, p))
         np.add.at(T, self.idx, contrib)
         return T
+
+
+@cache
+def _syevr_work(n):
+    """(lwork, liwork) of dsyevr for order ``n``, queried as
+    scipy.linalg.eigh does; lwork sets LAPACK's blocking, so other sizes
+    can change the bits."""
+    lwork, liwork, info = dsyevr_lwork(n=n, lower=1)
+    if info != 0:
+        raise ValueError(f"dsyevr workspace query failed: {info}")
+    return int(lwork), int(liwork)
+
+
+def _eigh(A):
+    """``scipy.linalg.eigh(A)`` for a symmetric float64 matrix, bit for bit:
+    the same LAPACK driver (dsyevr, lower triangle, all eigenpairs) and
+    workspace sizes, without the wrapper's per-call argument handling."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork, liwork = _syevr_work(A.shape[0])
+    w, v, _, _, info = dsyevr(A, compute_v=1, lower=1, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    return w, v
 
 
 def top_eigs(M, r):

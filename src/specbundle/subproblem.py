@@ -1,4 +1,4 @@
-"""Regularized bundle subproblem: projections, APG solver, closed forms.
+"""Regularized bundle subproblem: projections, exact face solves, APG.
 
 Each outer iteration minimizes, over the proximal center y with weight
 rho, the regularized model
@@ -16,8 +16,9 @@ namely  f(eta, S) = <b, y> + eta * (<C,Xbar> - <A(Xbar), y>)
         r = b - eta * A(Xbar) - A(V S V^T).
 
 The outer minimizer is then recovered as  z = y + (b - A(X)) / rho  for
-X = eta Xbar + V S V^T.  The quadratic is solved exactly for a width-1
-bundle and by accelerated projected gradient otherwise; the projection
+X = eta Xbar + V S V^T.  Exact solves on the faces of S_t (the face
+ladder of ``_face_polish``) settle a width-1 bundle on their own and
+refine accelerated projected gradient iterates otherwise; the projection
 onto S_t is spectral and reduces to a simplex-with-slack projection of
 (eta, eigenvalues).
 """
@@ -28,33 +29,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
-from .linops import symmetrize
-
-
-@cache
-def _syevr_work(n):
-    """(lwork, liwork) of dsyevr for order ``n``, queried as
-    scipy.linalg.eigh does; lwork sets LAPACK's blocking, so other sizes
-    can change the bits."""
-    lwork, liwork, info = dsyevr_lwork(n=n, lower=1)
-    if info != 0:
-        raise ValueError(f"dsyevr workspace query failed: {info}")
-    return int(lwork), int(liwork)
-
-
-def _eigh(A):
-    """``scipy.linalg.eigh(A)`` for a symmetric float64 matrix, bit for bit:
-    the same LAPACK driver (dsyevr, lower triangle, all eigenpairs) and
-    workspace sizes, without the wrapper's per-call argument handling."""
-    if not np.isfinite(A).all():
-        raise ValueError("array must not contain infs or NaNs")
-    lwork, liwork = _syevr_work(A.shape[0])
-    w, v, _, _, info = dsyevr(A, compute_v=1, lower=1, lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
-    return w, v
+from .linops import _eigh, symmetrize
 
 
 def project_simplex_hull(v):
@@ -447,50 +423,21 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
     return float(x_e), symmetrize(a * x_S), info
 
 
-def _argmin_quad_1d(curv, slope, lo, hi):
-    """Minimizer of curv*x^2 + slope*x on [lo, hi] (curv >= 0)."""
-    if curv > 0.0:
-        return float(np.clip(-slope / (2.0 * curv), lo, hi))
-    return lo if slope >= 0.0 else hi
-
-
 def solve_inner_rank1(ip):
-    """Exact minimizer for a width-1 bundle.
+    """Exact minimizer for a width-1 bundle, as ``(eta, S, info)``.
 
-    With S = [[s]] the feasible set is the triangle {eta >= 0, s >= 0,
-    alpha*eta + s <= alpha}; the quadratic is minimized by comparing the
-    unconstrained stationary point with the exact minimizers along the
-    three edges (vertices are covered by clamping).
+    The feasible set is the triangle {eta >= 0, s >= 0, alpha*eta + s <=
+    alpha}, and the face ladder from the origin enumerates all of it: the
+    interior stationary point, the three edges and the vertices; the
+    lowest value wins.
     """
     if ip.width != 1:
-        raise ValueError(f"closed form needs a width-1 bundle, got {ip.width}")
+        raise ValueError(f"solve_inner_rank1 needs a width-1 bundle, got {ip.width}")
     a = ip.alpha
-    av = ip.T[:, 0, 0]                      # A(v v^T)
-    Q11 = float(ip.AX @ ip.AX) / ip.rho
-    Q22 = float(av @ av) / ip.rho
-    Q12 = float(ip.AX @ av) / ip.rho
-    p1 = ip.c_eta - float(ip.AX @ ip.b) / ip.rho
-    p2 = float(ip.G2[0, 0]) - float(av @ ip.b) / ip.rho
-
-    cands = []
-    det = Q11 * Q22 - Q12 * Q12
-    if det > 1e-14 * max(Q11 * Q22, 1.0):
-        e = (-p1 * Q22 + p2 * Q12) / det
-        s = (-p2 * Q11 + p1 * Q12) / det
-        if e >= 0.0 and s >= 0.0 and a * e + s <= a:
-            cands.append((e, s))
-    # edge eta = 0, s in [0, alpha]
-    cands.append((0.0, _argmin_quad_1d(0.5 * Q22, p2, 0.0, a)))
-    # edge s = 0, eta in [0, 1]
-    cands.append((_argmin_quad_1d(0.5 * Q11, p1, 0.0, 1.0), 0.0))
-    # edge s = alpha * (1 - eta), eta in [0, 1]
-    curv = 0.5 * Q11 + 0.5 * Q22 * a * a - Q12 * a
-    slope = Q12 * a - Q22 * a * a + p1 - p2 * a
-    e = _argmin_quad_1d(curv, slope, 0.0, 1.0)
-    cands.append((e, a * (1.0 - e)))
-
-    best = min(cands, key=lambda c: ip.value(c[0], np.array([[c[1]]])))
-    return float(best[0]), float(best[1])
+    e, Ss = min(_face_polish(ip, 0.0, np.zeros((1, 1))),
+                key=lambda c: ip.value(c[0], a * c[1]))
+    res = float(_stationarity_residual(ip, e, Ss))
+    return e, a * Ss, InnerInfo(residual=res, iterations=0, converged=True)
 
 
 @dataclass(eq=False)
@@ -515,19 +462,14 @@ class InnerSolution:
 def solve_subproblem(prob, agg, V, y, rho, warm=None, max_iter=5000):
     """Solve one bundle subproblem and assemble the candidate point.
 
-    Uses the exact closed form for width-1 bundles and APG otherwise.
-    The candidate z satisfies the stationarity identity
+    A width-1 bundle is solved exactly over the face ladder, a wider one
+    by APG.  The candidate z satisfies the stationarity identity
     z = y + (b - A(X)) / rho by construction, and the model value at z is
     recovered from the inner optimum as  -value - (rho/2) ||z - y||^2.
     """
     ip = InnerProblem.build(prob, agg, V, y, rho)
-    if ip.width == 1:
-        eta, s = solve_inner_rank1(ip)
-        S = np.array([[s]])
-        res = float(_stationarity_residual(ip, eta, S / prob.alpha))
-        info = InnerInfo(residual=res, iterations=0, converged=True)
-    else:
-        eta, S, info = solve_inner_apg(ip, max_iter=max_iter, warm=warm)
+    eta, S, info = (solve_inner_rank1(ip) if ip.width == 1
+                    else solve_inner_apg(ip, max_iter=max_iter, warm=warm))
 
     AX = eta * agg.AX + ip.apply(S)
     CX = eta * agg.CX + float(np.sum(S * ip.VCV))

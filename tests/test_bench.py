@@ -531,6 +531,23 @@ def test_cli_verify_rejects_tampered_trace(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_verify_fails_nan_descent_slacks(tmp_path, capsys):
+    # a NaN slack must fail its bound, not drop out of the worst-case max
+    rc, trace, summary = _solve_triangle(tmp_path)
+    assert rc == 0
+    records, rbar = read_trace(str(trace))
+    for rec in records:
+        rec.feas = rec.pval = float("nan")
+    write_trace(str(trace), records, rbar)
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
+               "--samples", "40"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("primal feasibility bound", "gap upper bound", "gap lower bound"):
+        line = next(l for l in lines if f" {name}:" in l)
+        assert line.startswith("FAIL") and "worst slack nan" in line
+
+
 def test_cli_solve_completion_with_sketch(tmp_path, capsys):
     rc = main(["solve", "--problem", "completion",
                "--gen", "d=6,rank=2,pobs=0.6,seed=0",

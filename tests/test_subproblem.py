@@ -1,5 +1,5 @@
 """Subproblem solver checks: projections against an enumeration oracle,
-closed forms against grid refinement, APG against both."""
+the width-1 solver against grid refinement, APG against both."""
 
 import os
 import subprocess
@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specbundle import subproblem
+from specbundle import linops, subproblem
 from specbundle import (InnerProblem, SolverConfig, run, project_psd_simplex_hull,
                         project_simplex_hull, solve_inner_apg,
                         solve_inner_rank1, solve_subproblem, zero_aggregate,
@@ -166,7 +166,7 @@ def test_inner_value_quadratic_identity():
         assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
 
-# -- width-1 closed form -----------------------------------------------------
+# -- width-1 exact solve -----------------------------------------------------
 
 def _rank1_ip(y, rho, b, alpha, AX, c_eta, t, g2, const=0.0):
     m = len(b)
@@ -183,26 +183,43 @@ def test_rank1_vertex_solution():
     # both partial slopes positive at the origin, so the corner wins
     ip = _rank1_ip(y=[0.0], rho=1.0, b=[0.0], alpha=2.0,
                    AX=[1.0], c_eta=3.0, t=[1.0], g2=4.0)
-    eta, s = solve_inner_rank1(ip)
-    assert eta == 0.0 and s == 0.0
+    eta, S, info = solve_inner_rank1(ip)
+    assert eta == 0.0 and S[0, 0] == 0.0
+    assert info.converged and info.iterations == 0
 
 
 def test_rank1_interior_separable():
     # orthogonal AX and A(vv') decouple the two variables
     ip = _rank1_ip(y=[0.0, 0.0], rho=1.0, b=[0.3, 0.5], alpha=1.0,
                    AX=[1.0, 0.0], c_eta=0.1, t=[0.0, 1.0], g2=0.2)
-    eta, s = solve_inner_rank1(ip)
+    eta, S, _ = solve_inner_rank1(ip)
     assert abs(eta - 0.2) <= 1e-12
-    assert abs(s - 0.3) <= 1e-12
+    assert abs(S[0, 0] - 0.3) <= 1e-12
+
+
+def _rank1_degenerate_ips(rng):
+    """Width-1 problems whose faces are singular or flat."""
+    prob, agg, V, y, rho = rand_setup(rng, p=1, with_agg=False)
+    yield InnerProblem.build(prob, agg, V, y, rho)          # A(Xbar) = 0
+    AX = rng.normal(size=4)
+    a = 3.0
+    kw = dict(y=np.zeros(4), rho=1.3, b=4.0 * AX, alpha=a, AX=AX)
+    yield _rank1_ip(**kw, c_eta=0.4, t=np.zeros(4), g2=-0.7)      # A(v v^T) = 0
+    # A(Xbar) parallel to A(v v^T): the 2x2 face system is singular
+    yield _rank1_ip(**kw, c_eta=0.4, t=-2.0 * AX, g2=-0.7)
+    # A(Xbar) = alpha A(v v^T): no curvature along alpha*eta + s = alpha,
+    # where the slope in eta is c_eta - alpha*g2
+    g2 = -0.2
+    for slope in (0.5, -0.5):
+        yield _rank1_ip(**kw, c_eta=slope + a * g2, t=AX / a, g2=g2)
 
 
 def test_rank1_matches_grid_refinement():
     rng = np.random.default_rng(7)
-    for _ in range(25):
-        prob, agg, V, y, rho = rand_setup(rng, p=1)
-        ip = InnerProblem.build(prob, agg, V, y, rho)
-        eta, s = solve_inner_rank1(ip)
-        f = ip.value(eta, np.array([[s]]))
+    random_ips = (InnerProblem.build(*rand_setup(rng, p=1)) for _ in range(25))
+    for ip in (*random_ips, *_rank1_degenerate_ips(rng)):
+        eta, S, _ = solve_inner_rank1(ip)
+        f = ip.value(eta, S)
         f_grid, eta_g, s_g = grid_min_rank1(ip)
         assert f <= f_grid + 1e-8 * (1.0 + abs(f_grid))
         assert abs(f - f_grid) <= 1e-8 * (1.0 + abs(f_grid))
@@ -265,8 +282,8 @@ def test_apg_agrees_with_rank1_closed_form():
     for _ in range(20):
         prob, agg, V, y, rho = rand_setup(rng, p=1)
         ip = InnerProblem.build(prob, agg, V, y, rho)
-        eta_c, s_c = solve_inner_rank1(ip)
-        f_c = ip.value(eta_c, np.array([[s_c]]))
+        eta_c, S_c, _ = solve_inner_rank1(ip)
+        f_c = ip.value(eta_c, S_c)
         eta, S, info = solve_inner_apg(ip)
         assert info.converged
         f = ip.value(eta, S)
@@ -386,13 +403,13 @@ def _symmetric_cases(rng, p):
 
 def test_eigh_fast_path_bitwise_equals_scipy():
     rng = np.random.default_rng(30)
-    subproblem._syevr_work.cache_clear()
+    linops._syevr_work.cache_clear()
     # widths 40 and 70 are past LAPACK's blocking crossover, where a
     # workspace size other than scipy's changes the bits
     for p in [*range(1, 9), 40, 70]:
         for _ in range(2):          # cold, then warm workspace cache
             for A in _symmetric_cases(rng, p):
-                w, v = subproblem._eigh(A)
+                w, v = linops._eigh(A)
                 w_ref, v_ref = scipy.linalg.eigh(A)
                 assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
                 assert v.flags.f_contiguous == v_ref.flags.f_contiguous
@@ -436,7 +453,7 @@ def _face_polish_reference(ip, e, Ss):
     """The face ladder with every face's index data and columns built
     afresh and W symmetrized from its upper triangle."""
     a, p = ip.alpha, ip.width
-    lam, Q = subproblem._eigh(symm(Ss))
+    lam, Q = linops._eigh(symm(Ss))
     Qo = Q[:, np.argsort(lam)[::-1]]
     TFull = np.matmul(Qo.T, np.matmul(ip.T, Qo))
     G2Full = symm(Qo.T @ ip.G2 @ Qo)
@@ -535,7 +552,7 @@ def test_traces_do_not_depend_on_workspace_cache_state(tmp_path):
     subprocess.run([sys.executable, "-c", script, str(cold)], check=True, timeout=600)
     for _ in range(2):
         _write_traces(str(warm))
-        assert subproblem._syevr_work.cache_info().currsize > 0
+        assert linops._syevr_work.cache_info().currsize > 0
         for variant in ("block", "hr"):
             assert ((cold / f"{variant}.csv").read_bytes()
                     == (warm / f"{variant}.csv").read_bytes())

@@ -1,5 +1,5 @@
 """Write the seed-0 solve traces and summaries of the four benchmark
-workloads and of twelve small runs.
+workloads and of sixteen small runs.
 
     python3 tools/seed_traces.py OUTDIR
 
@@ -10,10 +10,12 @@ slacks, warnings, stop reason, ``max_norm_y``, final objective) to
 ``OUTDIR/<workload>.json``.
 
 It then writes the same two files to ``OUTDIR/small/<name>.csv|json``
-for twelve small runs: max-cut on an Erdos-Renyi graph (n=30, p=0.2,
-seed 0) and matrix completion (d=8, rank 2, p_obs 0.5, seed 0), each
-with the block, hr and hybrid rules in explicit and in compressed
-storage (``sketch_rank=3``); all with ``rbar=3``, ``max_iters=60``,
+for sixteen small runs on max-cut over an Erdos-Renyi graph (n=30,
+p=0.2, seed 0) and matrix completion (d=8, rank 2, p_obs 0.5, seed 0):
+each with the block, hr and hybrid rules at ``rbar=3`` in explicit and
+in compressed storage (``sketch_rank=3``), and each with the block and
+hr rules at ``rbar=1`` in explicit storage, so every bundle has width 1
+(files ``<problem>-<rule>-rbar1``); all with ``max_iters=60``,
 ``inner_max_iter=60`` (so inner-solver cap warnings occur) and the
 invariant diagnostics on.
 
@@ -28,7 +30,7 @@ change that must leave the iterates alone is checked with
 
 BLAS and OpenMP are pinned to one thread before numpy loads, as in
 ``perfbench/run.py``, because the thread count changes the trajectory.
-All sixteen solves take about 50 s on two cores.
+All twenty solves take about 60 s on two cores.
 """
 
 import os
@@ -50,7 +52,7 @@ from workloads import WORKLOADS, set_up  # noqa: E402
 
 
 def small_runs():
-    """(name, problem, config) of the twelve small runs."""
+    """(name, problem, config) of the sixteen small runs."""
     probs = (("maxcut-30", build_maxcut(gen_er_graph(30, 0.2, 0))),
              ("completion-8", build_completion(gen_completion(8, 2, 0.5, 0))))
     storages = (("explicit", {}), ("compressed", dict(storage="compressed", sketch_rank=3)))
@@ -60,6 +62,10 @@ def small_runs():
                 cfg = SolverConfig(variant=variant, rbar=3, max_iters=60, inner_max_iter=60,
                                    check_invariants=True, **kw)
                 yield f"{pname}-{variant}-{sname}", prob, cfg
+        for variant in ("block", "hr"):
+            cfg = SolverConfig(variant=variant, rbar=1, max_iters=60, inner_max_iter=60,
+                               check_invariants=True)
+            yield f"{pname}-{variant}-rbar1", prob, cfg
 
 
 def write_run(out, name, prob, cfg):

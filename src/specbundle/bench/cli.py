@@ -4,9 +4,9 @@ Four subcommands:
 
 * ``solve``: build one instance, run the bundle solver, write the
   per-iteration trace and a JSON summary, print final metrics.
-* ``verify``: re-check a finished run against the structural guarantees
-  (descent-step bounds, recorded dominance/membership slacks, spectral
-  accuracy sampling); nonzero exit when any check fails.
+* ``verify``: re-check a finished run, with its own settings, against the
+  structural guarantees (descent-step bounds, recorded dominance/membership
+  slacks, spectral accuracy sampling); nonzero exit when any check fails.
 * ``sweep``: run a comma-separated list of bundle sizes over one
   instance and print an accuracy table, one row per (variant, size).
 * ``plotdata``: reduce a trace to ``t, rel_gap`` rows, the relative
@@ -91,9 +91,9 @@ def build_problem(problem, inst, alpha):
     return build_completion(inst, alpha=alpha)
 
 
-def make_references(problem, inst, sweeps, seed):
+def make_references(problem, inst):
     if problem == "maxcut":
-        refs, _ = maxcut_reference(inst, sweeps=sweeps, seed=seed)
+        refs, _ = maxcut_reference(inst)
         return refs
     return completion_reference(inst)
 
@@ -137,7 +137,7 @@ def _resolve_refs(args, problem, inst):
     if args.ref is not None:
         return load_references(args.ref)
     if args.auto_ref:
-        return make_references(problem, inst, args.ref_sweeps, 0)
+        return make_references(problem, inst)
     return None
 
 
@@ -165,8 +165,6 @@ def _add_solver_flags(p):
     p.add_argument("--ref", help="reference-values JSON produced by an earlier run")
     p.add_argument("--auto-ref", action="store_true",
                    help="compute reference values with the built-in oracle")
-    p.add_argument("--ref-sweeps", type=int, default=4000,
-                   help="sweep budget of the max-cut reference oracle")
 
 
 def cmd_solve(args):
@@ -214,13 +212,9 @@ def cmd_verify(args):
         refs = ReferenceValues.from_dict(summary["refs"])
     else:
         raise ValueError("no reference values: pass --ref or solve with --auto-ref")
-    alpha = args.alpha if args.alpha is not None else summary.get("alpha_effective")
-    if alpha is None:
-        raise ValueError("summary does not record the penalty; pass --alpha")
     conf = summary["config"]
-    rep = verify_run(records, refs, conf["rho"], conf["beta"], float(alpha),
-                     summary["max_norm_y"], invariants=summary.get("invariants"),
-                     samples=args.samples, seed=args.seed, tol=args.tol)
+    rep = verify_run(records, refs, conf["rho"], conf["beta"], summary["alpha_effective"],
+                     summary["max_norm_y"], invariants=summary.get("invariants"))
     for line in rep.lines():
         print(line)
     return 0 if rep.passed else 1
@@ -293,10 +287,10 @@ def cmd_sweep(args):
     print(header)
     print("-" * len(header))
     for (variant, rbar, cfg), (result, elapsed, _) in zip(jobs, outcomes):
-        if refs is not None:
-            m = metrics_from_run(result, refs, norm_b)
-            cells = (f"{m.dual_opt:>11.3e} {m.primal_opt:>11.3e} "
-                     f"{m.primal_feas:>12.3e}")
+        metrics = metrics_from_run(result, refs, norm_b) if refs is not None else None
+        if metrics is not None:
+            cells = (f"{metrics.dual_opt:>11.3e} {metrics.primal_opt:>11.3e} "
+                     f"{metrics.primal_feas:>12.3e}")
         else:
             cells = f"{'-':>11} {'-':>11} {'-':>12}"
         print(f"{variant:<8} {rbar:>4} {result.stats.iterations:>5} "
@@ -304,7 +298,6 @@ def cmd_sweep(args):
         if args.out_dir:
             stem = f"{args.out_dir}/{args.problem}_{variant}_r{rbar}"
             write_trace(stem + ".csv", result.records, cfg.rbar)
-            metrics = metrics_from_run(result, refs, norm_b) if refs is not None else None
             summary = summary_dict(cfg, result, refs=refs, metrics=metrics,
                                    problem_label=label, alpha_effective=prob.alpha)
             summary["blas_threads"] = threads
@@ -358,12 +351,6 @@ def build_parser():
     p.add_argument("--trace", required=True)
     p.add_argument("--summary", required=True)
     p.add_argument("--ref", help="reference-values JSON (defaults to the summary's)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="override the penalty recorded in the summary")
-    p.add_argument("--samples", type=int, default=200,
-                   help="sample count for the spectral accuracy property")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="bundle-size sweep with an accuracy table")

@@ -78,9 +78,9 @@ def read_trace(path):
     return records, ngap
 
 
-def summary_dict(cfg, result, refs=None, metrics=None, problem_label="",
-                 alpha_effective=None):
-    """JSON-ready summary of a run: config echo, stopping data, telemetry."""
+def summary_dict(cfg, result, refs=None, metrics=None, problem_label="", *,
+                 alpha_effective):
+    """JSON-ready summary of a run: config echo, penalty, stopping data, telemetry."""
     inv = result.stats.invariants
     return {
         "problem": problem_label,
@@ -108,9 +108,10 @@ def write_summary(path, summary):
 def read_summary(path):
     """The summary written by ``write_summary``.  Raises ValueError, naming
     the field, unless the file holds a JSON object with the fields verify
-    reads: numeric ``config.rho``, ``config.beta`` and ``max_norm_y``, and
-    optionally a numeric ``alpha_effective`` and an ``invariants`` object
-    holding every ``InvariantReport`` field."""
+    reads: numeric ``config.rho``, ``config.beta``, ``alpha_effective`` (the
+    penalty verify checks the run against) and ``max_norm_y``, and
+    optionally an ``invariants`` object holding every ``InvariantReport``
+    field."""
     with open(path) as fh:
         summary = json.load(fh)
     if not isinstance(summary, dict):
@@ -119,8 +120,8 @@ def read_summary(path):
     conf = _field(path, summary, "config", OBJECT)
     for key in ("rho", "beta"):
         _field(path, conf, key, NUMBER, prefix="config.")
-    _field(path, summary, "max_norm_y", NUMBER)
-    _field(path, summary, "alpha_effective", NUMBER, required=False)
+    for key in ("alpha_effective", "max_norm_y"):
+        _field(path, summary, key, NUMBER)
     inv = _field(path, summary, "invariants", OBJECT, required=False)
     if inv is not None:
         for f in fields(InvariantReport):

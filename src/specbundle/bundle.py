@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .linops import _eigh, orthonormalize, symmetrize
 from .model import (Aggregate, dual_objective, model_value,
@@ -340,7 +339,7 @@ def membership_certificates(prob, state, info):
     S_c = symmetrize((P * info.lam_keep) @ P.T)
     recon = _record_update(agg.X, eta_c, Vn, S_c)
     err = _record_distance(recon, info.X_t) / alpha
-    lam_min_S = float(scipy.linalg.eigh(S_c, eigvals_only=True, subset_by_index=[0, 0])[0])
+    lam_min_S = float(_eigh(S_c)[0][0])
     feas = max(eta_c * alpha + float(np.trace(S_c)) - alpha, 0.0) / alpha
     feas = max(feas, max(-eta_c, 0.0), max(-lam_min_S, 0.0) / alpha)
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .linops import ConstraintMap, DimensionError, symmetrize, top_eigs
+from .linops import ConstraintMap, DimensionError, _eigh, symmetrize, top_eigs
 from .sketch import SketchState
 
 
@@ -127,9 +126,7 @@ def model_value(prob, agg, V, y):
     if V.ndim == 1:
         V = V[:, None]
     D = -prob.A.slack(prob.C, y)
-    B = symmetrize(V.T @ D @ V)
-    p = B.shape[0]
-    lam = float(scipy.linalg.eigh(B, eigvals_only=True, subset_by_index=[p - 1, p - 1])[0])
+    lam = float(_eigh(symmetrize(V.T @ D @ V))[0][-1])
     cbar = float(agg.AX @ y) - agg.CX
     return -float(prob.b @ y) + prob.alpha * max(lam, cbar / prob.alpha, 0.0)
 

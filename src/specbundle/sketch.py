@@ -50,7 +50,6 @@ class SketchState:
 
     n: int
     r: int
-    seed: int
     Psi: np.ndarray   # n x k
     Phi: np.ndarray   # l x n
     Yc: np.ndarray    # n x k
@@ -73,7 +72,7 @@ def sketch_init(n, r, seed):
     l = 4 * r + 3
     Psi = gaussian_matrix(seed, (n, k), stream=1)
     Phi = gaussian_matrix(seed, (l, n), stream=2)
-    return SketchState(n=n, r=r, seed=int(seed), Psi=Psi, Phi=Phi,
+    return SketchState(n=n, r=r, Psi=Psi, Phi=Phi,
                        Yc=np.zeros((n, k)), Yr=np.zeros((l, n)))
 
 

@@ -482,8 +482,7 @@ def test_cli_solve_writes_artifacts(tmp_path, capsys):
 def test_cli_verify_round_trip(tmp_path, capsys):
     rc, trace, summary = _solve_triangle(tmp_path)
     assert rc == 0
-    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
-               "--samples", "40"])
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in out and "FAIL" not in out
@@ -492,8 +491,7 @@ def test_cli_verify_round_trip(tmp_path, capsys):
 def test_cli_verify_without_telemetry_exits_one(tmp_path, capsys):
     rc, trace, summary = _solve_triangle(tmp_path, invariants=False)
     assert rc == 0
-    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
-               "--samples", "40"])
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
     assert rc == 1
     fails = [l for l in capsys.readouterr().out.splitlines() if l.startswith("FAIL")]
     assert fails and all("no invariant telemetry" in l for l in fails)
@@ -508,8 +506,7 @@ def test_cli_verify_fails_summary_with_zero_checks(tmp_path, capsys):
     assert data["invariants"]["checked"] > 0
     data["invariants"]["checked"] = 0
     summary.write_text(json.dumps(data))
-    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
-               "--samples", "40"])
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
     assert rc == 1
     lines = capsys.readouterr().out.splitlines()
     fails = [l for l in lines if l.startswith("FAIL")]
@@ -525,8 +522,7 @@ def test_cli_verify_rejects_tampered_trace(tmp_path, capsys):
     victim = next(r for r in records if r.descent)
     victim.feas += 1e3
     write_trace(str(trace), records, rbar)
-    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
-               "--samples", "40"])
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -539,8 +535,7 @@ def test_cli_verify_fails_nan_descent_slacks(tmp_path, capsys):
     for rec in records:
         rec.feas = rec.pval = float("nan")
     write_trace(str(trace), records, rbar)
-    rc = main(["verify", "--trace", str(trace), "--summary", str(summary),
-               "--samples", "40"])
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary)])
     assert rc == 1
     lines = capsys.readouterr().out.splitlines()
     for name in ("primal feasibility bound", "gap upper bound", "gap lower bound"):
@@ -713,8 +708,10 @@ def _drop(outer, key):
     (_set("max_norm_y", "x"), "max_norm_y"),
     (_drop("invariants", "model_minus_f"), "invariants.model_minus_f"),
     (_set("invariants", "membership_err", "x"), "invariants.membership_err"),
+    (lambda data: data.pop("alpha_effective"), "alpha_effective"),
 ], ids=["config-list", "invariants-list", "rho-string", "max-norm-y-string",
-        "invariants-without-model-minus-f", "membership-err-string"])
+        "invariants-without-model-minus-f", "membership-err-string",
+        "without-alpha-effective"])
 def test_cli_verify_malformed_summary_field_exits_two(tmp_path, capsys, edit, field):
     rc, trace, summary = _solve_triangle(tmp_path)
     assert rc == 0
@@ -748,4 +745,12 @@ def test_cli_plotdata_needs_some_reference(tmp_path, capsys):
 def test_cli_missing_subcommand_is_argparse_error():
     with pytest.raises(SystemExit) as err:
         main([])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--alpha"])
+def test_cli_verify_takes_no_check_settings(flag):
+    # every setting of a check comes from the run it checks
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--trace", "t.csv", "--summary", "s.json", flag, "1"])
     assert err.value.code == 2

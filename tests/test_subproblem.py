@@ -1,6 +1,7 @@
 """Subproblem solver checks: projections against an enumeration oracle,
 the width-1 solver against grid refinement, APG against both."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -235,13 +236,20 @@ def test_rank1_rejects_wider_bundles():
 
 # -- accelerated projected gradient ------------------------------------------
 
-def _unconstrained_minimizer(ip):
-    """Normal-equations solve of the subproblem quadratic in the coordinates
-    u = (eta, s11, s12, s22); returns None when any constraint is nearly
-    active, so callers can skip non-interior draws."""
+def _quadratic_coefficients(ip):
+    """(D, c) of the width-2 subproblem quadratic in the coordinates
+    u = (eta, s11, s12, s22): const + c.u + ||b - D u||^2 / (2 rho)."""
     D = np.column_stack([ip.AX, ip.T[:, 0, 0], 2.0 * ip.T[:, 0, 1],
                          ip.T[:, 1, 1]])
     c = np.array([ip.c_eta, ip.G2[0, 0], 2.0 * ip.G2[0, 1], ip.G2[1, 1]])
+    return D, c
+
+
+def _unconstrained_minimizer(ip):
+    """Normal-equations solve of the subproblem quadratic in the coordinates
+    of ``_quadratic_coefficients``; returns None when any constraint is
+    nearly active, so callers can skip non-interior draws."""
+    D, c = _quadratic_coefficients(ip)
     H = D.T @ D
     if np.linalg.cond(H) > 1e10:
         return None
@@ -258,11 +266,22 @@ def _unconstrained_minimizer(ip):
 
 
 def test_apg_reaches_interior_optimum():
+    # each problem is built around an interior point u: with m = 4
+    # constraints D is square, and b = D u + rho D^{-T} c makes u the
+    # stationary point of the quadratic; eta <= 0.4 and eig(S) <= 0.25 alpha
+    # keep alpha eta + tr S <= 0.9 alpha, inside the trace cap
     rng = np.random.default_rng(9)
     found = 0
     while found < 8:
         prob, agg, V, y, rho = rand_setup(rng)
-        ip = InnerProblem.build(prob, agg, V, y, rho)
+        D, c = _quadratic_coefficients(InnerProblem.build(prob, agg, V, y, rho))
+        if np.linalg.cond(D) > 1e8:
+            continue
+        Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        S0 = (Q * rng.uniform(0.1, 0.25, size=2) * prob.alpha) @ Q.T
+        u = np.array([rng.uniform(0.1, 0.4), S0[0, 0], S0[0, 1], S0[1, 1]])
+        b = D @ u + rho * np.linalg.solve(D.T, c)
+        ip = InnerProblem.build(dataclasses.replace(prob, b=b), agg, V, y, rho)
         opt = _unconstrained_minimizer(ip)
         if opt is None:
             continue

@@ -57,13 +57,17 @@ class GraphInstance:
         object.__setattr__(self, "edges", e)
 
     def laplacian(self):
+        """Dense graph Laplacian.  Each diagonal entry sums its edges'
+        weights in edge order (the interleaved ``i0, j0, i1, j1, ...``
+        scatter), and edges are distinct, so every off-diagonal entry is
+        written once."""
+        i, j = self.edges[:, 0].astype(np.intp), self.edges[:, 1].astype(np.intp)
+        w = self.edges[:, 2]
         L = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            i, j = int(i), int(j)
-            L[i, i] += w
-            L[j, j] += w
-            L[i, j] -= w
-            L[j, i] -= w
+        ends = np.column_stack([i, j]).ravel()
+        np.add.at(L, (ends, ends), np.repeat(w, 2))
+        L[i, j] -= w
+        L[j, i] -= w
         return L
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import _eigh, orthonormalize, symmetrize
+from .linops import _eigh, orthonormalize, recorded_fallbacks, symmetrize
 from .model import (Aggregate, dual_objective, model_value,
                     objective_with_spectrum, simple_model_value, zero_aggregate)
 from .sketch import (LowRankFactors, SketchState, sketch_init, sketch_reconstruct,
@@ -399,24 +399,26 @@ def stopping_metric(rec, norm_b):
 def run(prob, cfg, y0=None):
     """Drive one bundle solve to its iteration or accuracy budget."""
     cfg.validate()
-    state = init_state(prob, cfg, y0=y0)
+    warnings = []
+    with recorded_fallbacks(warnings, "iteration 0"):
+        state = init_state(prob, cfg, y0=y0)
     rng = np.random.default_rng(cfg.seed)
     norm_b = float(np.linalg.norm(prob.b))
     records = []
-    warnings = []
     report = InvariantReport() if cfg.check_invariants else None
     max_norm_y = float(np.linalg.norm(state.y))
     primal = last = None
     stop_reason = "max_iters"
     for _ in range(cfg.max_iters):
-        state, rec, info = step(prob, cfg, state)
+        with recorded_fallbacks(warnings, f"iteration {state.t + 1}"):
+            state, rec, info = step(prob, cfg, state)
+            if report is not None:
+                _update_invariants(prob, state, rec, info, rng, report)
         records.append(rec)
         if not info.sol.converged:
             warnings.append(
                 f"iteration {rec.t}: inner solver stopped at its iteration cap "
                 f"(residual {info.sol.residual:.3e})")
-        if report is not None:
-            _update_invariants(prob, state, rec, info, rng, report)
         max_norm_y = max(max_norm_y, float(np.linalg.norm(state.y)))
         last = info.X_t
         if rec.descent:

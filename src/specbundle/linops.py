@@ -6,8 +6,10 @@ updates) reduces to a handful of primitives collected here:
 * applying the constraint map ``X -> (<A_1,X>, ..., <A_m,X>)`` and its
   adjoint ``y -> sum_i y_i A_i``,
 * compressing the map through a tall orthonormal basis,
-* partial symmetric eigensolves with a deterministic sign convention,
-  and a full one bitwise equal to ``scipy.linalg.eigh``,
+* partial symmetric eigensolves with a deterministic sign convention
+  (dense subset ``eigh``, or ARPACK's Lanczos ``eigsh`` on a
+  ``scipy.sparse`` matrix, checked by its residual and redone densely when
+  it fails), and a full one bitwise equal to ``scipy.linalg.eigh``,
 * rank-revealing orthonormalization.
 
 Constraint matrices are sparse symmetric and stored as coordinate triples
@@ -17,6 +19,9 @@ kept exactly symmetric by construction.
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import warnings
 from dataclasses import dataclass
 from functools import cache
 
@@ -31,6 +36,16 @@ class DimensionError(ValueError):
 
 class RankError(ValueError):
     """Numerically rank-zero input where a nonzero subspace is required."""
+
+
+class EigsFallbackWarning(RuntimeWarning):
+    """A Lanczos eigensolve failed its residual check or did not converge,
+    and was redone densely."""
+
+
+# a Lanczos result is kept when its top Ritz pair (theta, v) satisfies
+# |M v - theta v| <= _EIGSH_RES_TOL * max(1, |M|_F)
+_EIGSH_RES_TOL = 1e-10
 
 
 def symmetrize(M):
@@ -191,21 +206,82 @@ def _eigh(A):
 
 
 def top_eigs(M, r):
-    """Top ``r`` eigenpairs of a dense symmetric matrix, descending.
+    """Top ``r`` eigenpairs of a symmetric matrix, descending.
 
     Returns ``(vals, vecs)`` with ``vals[0] >= vals[1] >= ...`` and
     orthonormal columns in ``vecs``.  Each eigenvector is sign-normalized
     so its first clearly-nonzero coordinate is positive.
+
+    A dense matrix goes to LAPACK's subset ``eigh``.  A ``scipy.sparse``
+    matrix goes to ``_top_eigs_sparse`` (Lanczos, inexact; see there).
     """
-    M = np.asarray(M, dtype=float)
+    # a sparse matrix exists only once scipy.sparse is loaded, so the
+    # dense path never imports it
+    sparse = sys.modules.get("scipy.sparse")
+    if sparse is None or not sparse.issparse(M):
+        M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
     n = M.shape[0]
     if not (1 <= r <= n):
         raise DimensionError(f"requested {r} eigenpairs of an order-{n} matrix")
+    if not isinstance(M, np.ndarray):
+        return _top_eigs_sparse(M, r)
     vals, vecs = scipy.linalg.eigh(M, subset_by_index=[n - r, n - 1])
     order = np.argsort(vals)[::-1]
     return vals[order], _fix_signs(vecs[:, order])
+
+
+def _top_eigs_sparse(M, r):
+    """``top_eigs`` of a sparse symmetric matrix by ARPACK's ``eigsh``
+    (``which="LA"``, ``tol=0``), always started from the fixed vector
+    ``gaussian_matrix(0, (n,))``: ARPACK's own random start gives
+    different bits on repeated calls.
+
+    Inexactness: the top Ritz value theta1 is at most lambda_max, so an
+    objective ``alpha * max(theta1, 0)`` can be low by up to
+    ``alpha * |M v1 - theta1 v1|`` (the residual bounds the distance to
+    some eigenvalue; Lanczos from a generic start finds the extreme one).
+    That residual is computed on return; when it exceeds
+    ``_EIGSH_RES_TOL * max(1, |M|_F)``, or ARPACK does not converge, the
+    solve is redone densely with an ``EigsFallbackWarning``.  ``r == n``,
+    which ``eigsh`` cannot do, goes dense without one.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh, norm
+
+    from .sketch import gaussian_matrix
+
+    n = M.shape[0]
+    if r == n:
+        return top_eigs(M.toarray(), r)
+    try:
+        vals, vecs = eigsh(M, k=r, which="LA", tol=0, v0=gaussian_matrix(0, (n,)))
+    except ArpackNoConvergence as exc:
+        why = f"ARPACK did not converge ({exc})"
+    else:
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+        res = float(np.linalg.norm(M @ vecs[:, 0] - vals[0] * vecs[:, 0]))
+        tol = _EIGSH_RES_TOL * max(1.0, float(norm(M)))
+        if res <= tol:
+            return vals, _fix_signs(vecs)
+        why = f"top Ritz residual {res:.3e} above {tol:.3e}"
+    warnings.warn(f"top_eigs: {why}; redone densely", EigsFallbackWarning, stacklevel=2)
+    return top_eigs(M.toarray(), r)
+
+
+@contextlib.contextmanager
+def recorded_fallbacks(notes, label):
+    """Append each ``EigsFallbackWarning`` raised in the block to ``notes``
+    as ``f"{label}: {message}"``; any other warning is shown as usual."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", EigsFallbackWarning)
+        yield
+    for w in caught:
+        if issubclass(w.category, EigsFallbackWarning):
+            notes.append(f"{label}: {w.message}")
+        else:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
 
 
 def orthonormalize(cols):

@@ -17,16 +17,32 @@ valid lower bound on F, and the recycled-aggregate certificates used by
 the dominance and membership diagnostics become feasible for every
 variant, matching the constant-trace convention the aggregate analysis
 assumes.
+
+The eigensolve behind F: up to order ``_SPARSE_ABOVE_N`` the slack is a
+dense matrix and ``top_eigs`` runs LAPACK's subset ``eigh``.  Above it,
+``A* y - C`` is assembled as a CSR matrix on a pattern built once per
+problem, and ``top_eigs`` runs Lanczos (``eigsh``).  That eigensolve is
+inexact: its top Ritz value is at most lambda_max, so F(z) can be low by
+up to ``alpha * |M v1 - theta1 v1|``, and the descent test
+``F(z) <= F(y) - beta * (F(y) - model(z))`` can accept a candidate whose
+true F(z) is above the threshold by as much.  Every call checks that
+residual against ``linops._EIGSH_RES_TOL * max(1, |M|_F)`` (1e-10) and
+redoes the solve densely when it fails, so the excess is at most
+``alpha * 1e-10 * max(1, |M|_F)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linops import ConstraintMap, DimensionError, _eigh, symmetrize, top_eigs
 from .sketch import SketchState
+
+# above this order the objective's eigensolve runs Lanczos on a CSR slack
+_SPARSE_ABOVE_N = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +83,42 @@ class SdpProblem:
     def m(self):
         return self.A.m
 
+    @cached_property
+    def _slack_pattern(self):
+        """The structure of ``A* y - C`` in CSR form and its scatter from y.
+
+        Returns ``(inv, q, src, cvals, indices, indptr)``: triple ``k`` of
+        the constraint map adds to upper-triangle position ``inv[k]`` (of
+        ``q``); stored entry ``e`` (row-major, both triangles, the union of
+        C's nonzeros and the constraint positions) reads that sum from slot
+        ``src[e]``, or from the always-zero slot ``q``, and C from
+        ``cvals[e]``.
+        """
+        A, n = self.A, self.n
+        keys, inv = np.unique(A.row * n + A.col, return_inverse=True)
+        r, c = np.divmod(keys, n)
+        lin = np.union1d(np.flatnonzero(self.C), np.concatenate([keys, c * n + r]))
+        rows, cols = np.divmod(lin, n)
+        upper = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+        pos = np.searchsorted(keys, upper)
+        src = np.where(np.append(keys, -1)[pos] == upper, pos, keys.size)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        return inv, keys.size, src, self.C.ravel()[lin], cols, indptr
+
+    def _neg_slack_csr(self, y):
+        """``A* y - C`` as a CSR matrix, equal bit for bit to the dense
+        ``-A.slack(C, y)`` on its stored entries (each position sums its
+        products ``y_k * val`` in the order ``ConstraintMap.adjoint`` does)."""
+        import scipy.sparse
+
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.m,):
+            raise DimensionError(f"expected y of shape {(self.m,)}, got {y.shape}")
+        inv, q, src, cvals, indices, indptr = self._slack_pattern
+        U = np.bincount(inv, weights=y[self.A.idx] * self.A.val, minlength=q + 1)
+        return scipy.sparse.csr_matrix((-(cvals - U[src]), indices, indptr),
+                                       shape=(self.n, self.n))
+
 
 def dual_objective(prob, y):
     """Penalized dual objective F(y)."""
@@ -78,9 +130,14 @@ def objective_with_spectrum(prob, y, k):
     """F(y) plus the top-k eigenpairs of A* y - C (shared eigensolve).
 
     The solver needs the same spectrum for the objective, the next bundle
-    basis, and the eigengap diagnostics, so they are computed once.
+    basis, and the eigengap diagnostics, so they are computed once.  Above
+    order ``_SPARSE_ABOVE_N`` the eigensolve is Lanczos on a CSR slack,
+    whose error enters F as the module docstring states.
     """
-    M = -prob.A.slack(prob.C, y)           # A* y - C
+    if prob.n > _SPARSE_ABOVE_N:
+        M = prob._neg_slack_csr(y)
+    else:
+        M = -prob.A.slack(prob.C, y)           # A* y - C
     vals, vecs = top_eigs(M, k)
     F = -float(prob.b @ y) + prob.alpha * max(float(vals[0]), 0.0)
     return F, vals, vecs

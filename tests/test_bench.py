@@ -50,6 +50,22 @@ def test_laplacian_rows_sum_to_zero():
     assert np.array_equal(L, L.T)
 
 
+def test_laplacian_matches_edge_loop_bitwise():
+    # float weights whose diagonal sums depend on the order of addition
+    rng = np.random.default_rng(5)
+    g0 = gen_er_graph(60, 0.2, seed=1)
+    g = GraphInstance(60, np.column_stack([g0.edges[:, :2],
+                                           rng.normal(size=len(g0.edges)) * 1e3]))
+    want = np.zeros((g.n, g.n))
+    for i, j, w in g.edges:
+        i, j = int(i), int(j)
+        want[i, i] += w
+        want[j, j] += w
+        want[i, j] -= w
+        want[j, i] -= w
+    assert np.array_equal(g.laplacian().view(np.int64), want.view(np.int64))
+
+
 def test_graph_validation():
     with pytest.raises(ValueError):
         GraphInstance(3, np.array([[0, 0, 1.0]]))          # self-loop

@@ -1,6 +1,9 @@
 """Outer bundle iteration: configuration guards, a scripted scalar-problem
 step oracle, aggregate bookkeeping, variant equivalences, and the driver."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -8,12 +11,13 @@ import pytest
 import scipy.linalg
 
 import specbundle.bundle as bundle
+import specbundle.model as model
 from specbundle import (Aggregate, BundleState, ConstraintMap, IterationRecord,
                         LowRankFactors, SdpProblem, SketchState, SolverConfig,
                         dual_objective, init_state, is_descent_step,
                         membership_certificates, run, sketch_init,
                         sketch_reconstruct, step, stopping_metric, symmetrize)
-from specbundle.bench import build_maxcut, gen_er_graph
+from specbundle.bench import build_maxcut, gen_er_graph, write_trace
 from specbundle.bundle import _finished_aggregate, subgradient_at
 
 from conftest import rand_problem
@@ -496,3 +500,75 @@ def test_run_primal_is_last_descent_record(storage):
         want = sketch_reconstruct(want)
         for name in ("left", "weights", "right"):
             assert getattr(res.primal, name).tobytes() == getattr(want, name).tobytes()
+
+
+# -- the Lanczos path (order above model._SPARSE_ABOVE_N) --------------------------
+
+def _lanczos_problem():
+    return build_maxcut(gen_er_graph(450, 0.02, 0))
+
+
+def _write_lanczos_trace(path):
+    """Trace of a 20-step compressed block solve on max-cut ER n=450."""
+    cfg = SolverConfig(rbar=2, rho=1.0, max_iters=20, storage="compressed", sketch_rank=5)
+    res = run(_lanczos_problem(), cfg)
+    assert res.stats.warnings == []
+    write_trace(str(path), res.records, cfg.rbar)
+
+
+def test_lanczos_traces_are_deterministic(tmp_path):
+    # the Lanczos start vector is fixed: two solves in this process and one
+    # in a fresh process write the same bytes
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(bundle.__file__))
+    script = (f"import sys; sys.path[:0] = [{src!r}, {here!r}]; "
+              "from test_bundle import _write_lanczos_trace; "
+              "_write_lanczos_trace(sys.argv[1])")
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "fresh.csv")],
+                   check=True, timeout=600)
+    for name in ("a.csv", "b.csv"):
+        _write_lanczos_trace(tmp_path / name)
+    want = (tmp_path / "fresh.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() == want
+    assert (tmp_path / "b.csv").read_bytes() == want
+
+
+def test_dense_path_never_loads_scipy_sparse():
+    src = os.path.dirname(os.path.dirname(bundle.__file__))
+    script = (f"import sys; sys.path.insert(0, {src!r}); "
+              "from specbundle import SolverConfig, run; "
+              "from specbundle.bench import build_maxcut, gen_er_graph; "
+              "run(build_maxcut(gen_er_graph(30, 0.2, 0)), SolverConfig(rbar=2, max_iters=5)); "
+              "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", script], check=True, timeout=600,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("fault", ["no_convergence", "residual"])
+def test_failed_lanczos_solve_is_redone_densely_with_a_warning(fault, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    eigsh = spla.eigsh
+
+    def faulty(M, k, **kw):
+        if fault == "no_convergence":
+            raise spla.ArpackNoConvergence("ARPACK error -1: injected",
+                                           np.zeros(0), np.zeros((M.shape[0], 0)))
+        vals, vecs = eigsh(M, k, **kw)
+        return vals + 1e-3, vecs          # Ritz values off by far more than the tolerance
+
+    prob = _lanczos_problem()
+    cfg = SolverConfig(rbar=2, rho=1.0, max_iters=4)
+    with monkeypatch.context() as mp:
+        mp.setattr(model, "_SPARSE_ABOVE_N", 10 ** 9)
+        dense = run(prob, cfg)
+    monkeypatch.setattr(spla, "eigsh", faulty)
+    res = run(prob, cfg)
+    notes = [w for w in res.stats.warnings if "redone densely" in w]
+    assert [w.split(":")[0] for w in notes] == [f"iteration {t}" for t in range(5)]
+    want = "ARPACK did not converge" if fault == "no_convergence" else "top Ritz residual"
+    assert all(want in w for w in notes)
+    for got, ref in zip(res.records, dense.records):
+        assert abs(got.F_z - ref.F_z) <= 1e-12 * abs(ref.F_z)
+        assert got.descent == ref.descent

@@ -4,6 +4,7 @@ an independent dense oracle."""
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from specbundle import (ConstraintMap, DimensionError, RankError,
                         orthonormalize, symmetrize, top_eigs)
@@ -170,12 +171,26 @@ def test_top_eigs_sign_convention():
 
 
 def test_top_eigs_errors():
-    with pytest.raises(DimensionError):
-        top_eigs(np.eye(3), 4)
-    with pytest.raises(DimensionError):
-        top_eigs(np.eye(3), 0)
-    with pytest.raises(DimensionError):
-        top_eigs(np.zeros((2, 3)), 1)
+    for eye in (np.eye(3), scipy.sparse.eye(3, format="csr")):
+        with pytest.raises(DimensionError):
+            top_eigs(eye, 4)
+        with pytest.raises(DimensionError):
+            top_eigs(eye, 0)
+    for rect in (np.zeros((2, 3)), scipy.sparse.csr_matrix((2, 3))):
+        with pytest.raises(DimensionError):
+            top_eigs(rect, 1)
+
+
+def test_top_eigs_sparse_matches_dense():
+    # r < n runs eigsh; r == n, which eigsh cannot do, goes dense
+    rng = np.random.default_rng(11)
+    M = scipy.sparse.random(12, 12, density=0.3, random_state=rng)
+    M = (M + M.T).tocsr()
+    for r in (2, 12):
+        vs, Vs = top_eigs(M, r)
+        vd, Vd = top_eigs(M.toarray(), r)
+        assert np.abs(vs - vd).max() <= 1e-12 * np.abs(vd).max()
+        assert np.abs(Vs[:, 0] - Vd[:, 0]).max() <= 1e-8
 
 
 # -- orthonormalization -----------------------------------------------------

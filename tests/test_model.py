@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from specbundle import (Aggregate, ConstraintMap, SdpProblem, dual_objective,
-                        model_value, objective_with_spectrum,
-                        orthonormalize, simple_model_value, sketch_init,
-                        top_eigs, zero_aggregate)
+import specbundle.model as model
+from specbundle import (Aggregate, ConstraintMap, SdpProblem, SolverConfig,
+                        dual_objective, init_state, model_value,
+                        objective_with_spectrum, orthonormalize,
+                        simple_model_value, sketch_init, step, top_eigs,
+                        zero_aggregate)
+from specbundle.bench import build_completion, build_maxcut, gen_completion, gen_er_graph
 
 from conftest import rand_problem, rand_setup
 
@@ -71,6 +74,64 @@ def test_problem_validation():
     C = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         SdpProblem(C=C, A=amap, b=np.array([1.0]), alpha=1.0)
+
+
+# -- sparse slack and Lanczos eigensolve -----------------------------------
+
+@pytest.mark.parametrize("prob", [
+    build_maxcut(gen_er_graph(80, 0.1, 3)),
+    build_completion(gen_completion(30, 2, 0.4, 1)),
+    rand_problem(np.random.default_rng(7), n=9, m=6),
+], ids=["maxcut", "completion", "random"])
+def test_csr_slack_equals_dense_slack_bitwise(prob):
+    rng = np.random.default_rng(8)
+    for y in (np.zeros(prob.m), rng.normal(size=prob.m), rng.normal(size=prob.m) * 1e3):
+        S = prob._neg_slack_csr(y).tocoo()
+        D = -prob.A.slack(prob.C, y)
+        assert np.array_equal(S.data.view(np.int64), D[S.row, S.col].view(np.int64))
+        off = np.ones(D.shape, dtype=bool)
+        off[S.row, S.col] = False
+        assert not D[off].any()
+
+
+def test_csr_slack_checks_y_shape():
+    prob = build_maxcut(gen_er_graph(10, 0.5, 0))
+    with pytest.raises(ValueError):
+        prob._neg_slack_csr(np.zeros(prob.m + 1))
+
+
+def test_objective_goes_sparse_only_above_the_threshold(monkeypatch):
+    def refuse(self, y):
+        raise AssertionError("sparse path taken")
+    monkeypatch.setattr(SdpProblem, "_neg_slack_csr", refuse)
+    n = model._SPARSE_ABOVE_N
+    objective_with_spectrum(build_maxcut(gen_er_graph(n, 0.01, 0)), np.zeros(n), 2)
+    with pytest.raises(AssertionError, match="sparse path"):
+        objective_with_spectrum(build_maxcut(gen_er_graph(n + 1, 0.01, 0)),
+                                np.zeros(n + 1), 2)
+
+
+def test_lanczos_matches_dense_along_a_trajectory():
+    # n=450 takes the Lanczos path; y=0 (the Laplacian, whose null space
+    # holds the all-ones vector) is the first point
+    prob = build_maxcut(gen_er_graph(450, 0.02, 0))
+    assert prob.n > model._SPARSE_ABOVE_N
+    cfg = SolverConfig(rbar=2, rho=1.0)
+    state = init_state(prob, cfg)
+    points = [state.y]
+    for _ in range(6):
+        state, _, _ = step(prob, cfg, state)
+        points.append(state.z)
+    for y in points:
+        M = prob._neg_slack_csr(y)
+        vs, Vs = top_eigs(M, 3)
+        vd, Vd = top_eigs(M.toarray(), 3)
+        assert np.abs(vs - vd).max() <= 1e-12 * np.abs(vd).max()
+        assert np.abs(Vs.T @ Vs - np.eye(3)).max() <= 1e-12
+        r = M @ Vs - Vs * vs
+        assert np.linalg.norm(r, axis=0).max() <= 1e-10 * np.abs(vd).max()
+        # the top eigenvalue is simple here: same vector, same sign
+        assert np.abs(Vs[:, 0] - Vd[:, 0]).max() <= 1e-8
 
 
 # -- cutting model ----------------------------------------------------------

@@ -1,5 +1,5 @@
 """Write the seed-0 solve traces and summaries of the four benchmark
-workloads and of sixteen small runs.
+workloads, of sixteen small runs and of one run on the Lanczos path.
 
     python3 tools/seed_traces.py OUTDIR
 
@@ -19,6 +19,12 @@ hr rules at ``rbar=1`` in explicit storage, so every bundle has width 1
 ``inner_max_iter=60`` (so inner-solver cap warnings occur) and the
 invariant diagnostics on.
 
+Last, it writes ``OUTDIR/lanczos/maxcut-450-block-compressed.csv|json``:
+max-cut over an Erdos-Renyi graph (n=450, p=0.02, seed 0), above the
+order where the objective's eigensolve switches from dense ``eigh`` to
+Lanczos on a sparse slack, block rule at ``rbar=2``, ``rho=1``,
+compressed storage (``sketch_rank=5``), 30 steps.
+
 Both files write floats that parse back to the same bits (17 significant
 digits in the CSV, Python's round-trip ``repr`` in the JSON), so two
 checkouts that run the same arithmetic give byte-identical files, and a
@@ -30,7 +36,7 @@ change that must leave the iterates alone is checked with
 
 BLAS and OpenMP are pinned to one thread before numpy loads, as in
 ``perfbench/run.py``, because the thread count changes the trajectory.
-All twenty solves take about 60 s on two cores.
+All twenty-one solves take about 60 s on two cores.
 """
 
 import os
@@ -68,6 +74,13 @@ def small_runs():
             yield f"{pname}-{variant}-rbar1", prob, cfg
 
 
+def lanczos_run():
+    """(name, problem, config) of the run on the Lanczos path."""
+    cfg = SolverConfig(variant="block", rbar=2, rho=1.0, max_iters=30,
+                       storage="compressed", sketch_rank=5)
+    return "maxcut-450-block-compressed", build_maxcut(gen_er_graph(450, 0.02, 0)), cfg
+
+
 def write_run(out, name, prob, cfg):
     res = run(prob, cfg)
     path = out / f"{name}.csv"
@@ -83,10 +96,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     out = Path(args.outdir)
     (out / "small").mkdir(parents=True, exist_ok=True)
+    (out / "lanczos").mkdir(exist_ok=True)
     for name, wl in WORKLOADS.items():
         write_run(out, name, set_up(wl).prob, wl.solver_config(0))
     for name, prob, cfg in small_runs():
         write_run(out / "small", name, prob, cfg)
+    write_run(out / "lanczos", *lanczos_run())
     return 0
 
 

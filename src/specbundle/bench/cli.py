@@ -125,8 +125,7 @@ def _config_from_args(args, variant, rbar):
         storage = "compressed"
     return SolverConfig(
         variant=variant, beta=args.beta, rho=args.rho, rbar=rbar,
-        hr_keep=args.hr_keep, max_iters=args.max_iters,
-        inner_max_iter=args.inner_max_iter,
+        max_iters=args.max_iters, inner_max_iter=args.inner_max_iter,
         storage=storage, sketch_rank=sketch_rank,
         target_gap=args.target_gap, seed=args.seed,
         check_invariants=args.check_invariants,
@@ -153,8 +152,6 @@ def _add_instance_flags(p):
 def _add_solver_flags(p):
     p.add_argument("--rho", type=float, default=1.0, help="proximal weight")
     p.add_argument("--beta", type=float, default=0.25, help="descent parameter")
-    p.add_argument("--hr-keep", type=int, default=None,
-                   help="recycled eigenvectors for hr/hybrid (default rbar-1)")
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--inner-max-iter", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)

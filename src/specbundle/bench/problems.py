@@ -248,13 +248,3 @@ def build_completion(inst, alpha=None):
                 "alpha can only be derived for synthetic instances; pass it explicitly")
         alpha = 4.0 * inst.nuclear_norm()
     return SdpProblem(C=C, A=amap, b=inst.vals.copy(), alpha=float(alpha))
-
-
-def embed_completion(inst):
-    """Ground-truth primal [[M, M], [M, M]] for a synthetic instance; PSD,
-    feasible, and nuclear norm 2 ||M||_* (it is the reference solution)."""
-    if inst.factors is None:
-        raise ValueError("instance has no ground-truth factors")
-    W = np.asarray(inst.factors, dtype=float)
-    M = W @ W.T
-    return np.block([[M, M], [M, M]])

@@ -85,7 +85,7 @@ def summary_dict(cfg, result, refs=None, metrics=None, problem_label="", *,
     return {
         "problem": problem_label,
         "alpha_effective": alpha_effective,
-        "config": {**asdict(cfg), "hr_keep": cfg.resolved_hr_keep()},
+        "config": asdict(cfg),
         "seed": cfg.seed,
         "iterations": result.stats.iterations,
         "descent_steps": result.stats.descent_steps,

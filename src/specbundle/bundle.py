@@ -13,8 +13,9 @@ Each iteration:
 
 This is the Helmberg-Rendl update; the variants are its settings:
 ``block`` is (r_p, r_c) = (0, rbar), a full spectral refresh in which the
-whole candidate becomes the aggregate; ``hr`` is (hr_keep, 1); ``hybrid``
-is (hr_keep, rbar), so its width can reach hr_keep + rbar.
+whole candidate becomes the aggregate; ``hr`` is (rbar - 1, 1), so its
+width settles at rbar; ``hybrid`` is (rbar - 1, rbar), so its width can
+reach 2 rbar - 1.  At rbar = 1 all three recycle nothing.
 
 The aggregate matrix is stored rescaled to trace alpha (see model module)
 so the recycled-cut certificates below stay inside the trace-capped set.
@@ -47,9 +48,8 @@ _TRACE_FLOOR = 1e-12
 class SolverConfig:
     """Knobs of one solver run.
 
-    hr_keep is the number of leading eigenvectors of S recycled into the
-    next basis by the hr and hybrid rules; defaults to rbar - 1 so the hr
-    bundle width settles at rbar.  target_gap stops the run once
+    sketch_rank is the reconstruction rank of compressed storage (default
+    rbar); explicit storage takes none.  target_gap stops the run once
         max(feas/(1+|b|), gap/(1+|<b,y>|), dual infeasibility)
     drops below it; 0 disables early stopping.
     """
@@ -58,7 +58,6 @@ class SolverConfig:
     beta: float = 0.25
     rho: float = 1.0
     rbar: int = 1
-    hr_keep: int | None = None
     max_iters: int = 200
     inner_max_iter: int = 5000
     storage: str = "explicit"
@@ -66,9 +65,6 @@ class SolverConfig:
     target_gap: float = 0.0
     seed: int = 0
     check_invariants: bool = False
-
-    def resolved_hr_keep(self):
-        return self.rbar - 1 if self.hr_keep is None else self.hr_keep
 
     def validate(self):
         if self.variant not in _VARIANTS:
@@ -79,15 +75,14 @@ class SolverConfig:
             raise ValueError(f"proximal weight must be positive, got {self.rho}")
         if self.rbar < 1:
             raise ValueError(f"bundle size must be at least 1, got {self.rbar}")
-        keep = self.resolved_hr_keep()
-        if not (0 <= keep <= self.rbar - 1):
-            raise ValueError(f"hr_keep must lie in [0, rbar-1], got {keep}")
         if self.storage not in ("explicit", "compressed"):
             raise ValueError(f"unknown storage mode {self.storage!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.inner_max_iter < 1:
             raise ValueError(f"inner_max_iter must be positive, got {self.inner_max_iter}")
+        if self.sketch_rank is not None and self.storage != "compressed":
+            raise ValueError("sketch_rank applies only to compressed storage")
         if self.sketch_rank is not None and self.sketch_rank < 1:
             raise ValueError(f"sketch_rank must be positive, got {self.sketch_rank}")
         return self
@@ -213,8 +208,8 @@ def step(prob, cfg, state):
 
     X_t = _record_update(state.agg.X, sol.eta, V, sol.S)
     # (r_p, r_c): leading eigenvectors of S recycled, top ones at z appended
-    r_p, r_c = {"block": (0, cfg.rbar), "hr": (cfg.resolved_hr_keep(), 1),
-                "hybrid": (cfg.resolved_hr_keep(), cfg.rbar)}[cfg.variant]
+    r_p, r_c = {"block": (0, cfg.rbar), "hr": (cfg.rbar - 1, 1),
+                "hybrid": (cfg.rbar - 1, cfg.rbar)}[cfg.variant]
     keep, fresh = min(r_p, p), vecs[:, :r_c]
     if keep == 0:
         # nothing recycled: the whole candidate becomes the aggregate

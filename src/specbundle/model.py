@@ -105,6 +105,13 @@ class SdpProblem:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         return inv, keys.size, src, self.C.ravel()[lin], cols, indptr
 
+    def dual_slack(self, y):
+        """``A* y - C``: the dense ``-A.slack(C, y)`` up to order
+        ``_SPARSE_ABOVE_N``, the CSR matrix of ``_neg_slack_csr`` above it."""
+        if self.n > _SPARSE_ABOVE_N:
+            return self._neg_slack_csr(y)
+        return -self.A.slack(self.C, y)
+
     def _neg_slack_csr(self, y):
         """``A* y - C`` as a CSR matrix, equal bit for bit to the dense
         ``-A.slack(C, y)`` on its stored entries (each position sums its
@@ -134,11 +141,7 @@ def objective_with_spectrum(prob, y, k):
     order ``_SPARSE_ABOVE_N`` the eigensolve is Lanczos on a CSR slack,
     whose error enters F as the module docstring states.
     """
-    if prob.n > _SPARSE_ABOVE_N:
-        M = prob._neg_slack_csr(y)
-    else:
-        M = -prob.A.slack(prob.C, y)           # A* y - C
-    vals, vecs = top_eigs(M, k)
+    vals, vecs = top_eigs(prob.dual_slack(y), k)
     F = -float(prob.b @ y) + prob.alpha * max(float(vals[0]), 0.0)
     return F, vals, vecs
 
@@ -177,12 +180,14 @@ def model_value(prob, agg, V, y):
     are 0, the stored aggregate, and alpha * v v^T for unit v in the span
     of V, giving the closed form
         <-b, y> + alpha * max(lambda_max(V^T (A*y - C) V), cbar / alpha, 0)
-    with cbar = <Xbar, A* y - C> evaluated from the caches.
+    with cbar = <Xbar, A* y - C> evaluated from the caches.  Above order
+    ``_SPARSE_ABOVE_N`` the slack is the CSR matrix, so no n x n array is
+    built.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
-    D = -prob.A.slack(prob.C, y)
+    D = prob.dual_slack(y)
     lam = float(_eigh(symmetrize(V.T @ D @ V))[0][-1])
     cbar = float(agg.AX @ y) - agg.CX
     return -float(prob.b @ y) + prob.alpha * max(lam, cbar / prob.alpha, 0.0)

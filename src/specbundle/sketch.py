@@ -108,21 +108,21 @@ class LowRankFactors:
         return (self.left * self.weights) @ self.right
 
 
-def sketch_reconstruct(st, rank=None):
-    """Best rank-r estimate of the sketched matrix from (Yc, Yr) alone.
+def sketch_reconstruct(st):
+    """Best rank-r estimate (r = ``st.r``) of the sketched matrix from
+    (Yc, Yr) alone.
 
     Orthonormalize the column sketch, solve the small least-squares system
     against the row sketch through a pseudoinverse (singular values below
     1e-10 of the largest are treated as zero), then truncate to rank r.
     """
-    r = st.r if rank is None else int(rank)
     if np.abs(st.Yc).max() == 0.0:
-        z = np.zeros((st.n, r))
-        return LowRankFactors(left=z, weights=np.zeros(r), right=z.T)
+        z = np.zeros((st.n, st.r))
+        return LowRankFactors(left=z, weights=np.zeros(st.r), right=z.T)
     Q, _ = scipy.linalg.qr(st.Yc, mode="economic")
     B = _pinv_solve(st.Phi @ Q, st.Yr)
     U, s, Vt = scipy.linalg.svd(B, full_matrices=False)
-    r = min(r, s.size)
+    r = min(st.r, s.size)
     return LowRankFactors(left=Q @ U[:, :r], weights=s[:r], right=Vt[:r])
 
 

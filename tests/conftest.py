@@ -9,8 +9,9 @@ naive dense loops.
 import numpy as np
 import scipy.optimize
 
-from specbundle import (Aggregate, ConstraintMap, SdpProblem, orthonormalize,
-                        zero_aggregate)
+from specbundle import ConstraintMap, SdpProblem
+from specbundle.linops import orthonormalize
+from specbundle.model import Aggregate, zero_aggregate
 
 
 def symm(B):
@@ -40,6 +41,17 @@ def dense_constraints(amap):
         if i != j:
             mats[k, j, i] += v
     return mats
+
+
+def embed_completion(inst):
+    """Ground-truth primal [[M, M], [M, M]] for a synthetic completion
+    instance; PSD, feasible, and nuclear norm 2 ||M||_* (it is the
+    reference solution)."""
+    if inst.factors is None:
+        raise ValueError("instance has no ground-truth factors")
+    W = np.asarray(inst.factors, dtype=float)
+    M = W @ W.T
+    return np.block([[M, M], [M, M]])
 
 
 def rand_problem(rng, n=6, m=4):

@@ -10,22 +10,23 @@ import pytest
 import scipy.linalg
 
 from specbundle import SolverConfig, run
-from specbundle.bench import (CompletionInstance, GraphInstance, ParseError,
-                              ReferenceValues, TraceFormatError,
+from specbundle.bench import (ReferenceValues, TraceFormatError,
                               build_completion, build_maxcut,
                               check_recorded_invariants,
                               check_spectral_accuracy, completion_reference,
-                              compute_metrics, embed_completion, gen_completion, gen_er_graph,
-                              maxcut_factor_ascent, maxcut_reference,
-                              metrics_from_run, numerical_rank,
-                              read_gset, read_observations, read_summary,
-                              read_trace, sample_gapped_matrix,
-                              spectral_truncation_gap, summary_dict,
-                              trace_header, triangle_graph, verify_run,
-                              write_summary, write_trace)
+                              gen_completion, gen_er_graph, maxcut_reference,
+                              summary_dict, verify_run, write_summary,
+                              write_trace)
 from specbundle.bench.cli import main
+from specbundle.bench.metrics import compute_metrics, metrics_from_run
+from specbundle.bench.problems import (CompletionInstance, GraphInstance,
+                                       ParseError, read_gset, read_observations,
+                                       triangle_graph)
+from specbundle.bench.reference import maxcut_factor_ascent, numerical_rank
+from specbundle.bench.traceio import read_summary, read_trace, trace_header
+from specbundle.bench.verify import sample_gapped_matrix, spectral_truncation_gap
 
-from conftest import symm
+from conftest import embed_completion, symm
 
 
 # -- graphs -----------------------------------------------------------------
@@ -769,4 +770,12 @@ def test_cli_verify_takes_no_check_settings(flag):
     # every setting of a check comes from the run it checks
     with pytest.raises(SystemExit) as err:
         main(["verify", "--trace", "t.csv", "--summary", "s.json", flag, "1"])
+    assert err.value.code == 2
+
+
+def test_cli_solve_has_no_hr_keep_flag():
+    # hr and hybrid recycle rbar - 1 vectors; the count is not a setting
+    with pytest.raises(SystemExit) as err:
+        main(["solve", "--problem", "maxcut", "--gen", "triangle", "--variant", "hr",
+              "--hr-keep", "1"])
     assert err.value.code == 2

@@ -12,25 +12,21 @@ import scipy.linalg
 
 import specbundle.bundle as bundle
 import specbundle.model as model
-from specbundle import (Aggregate, BundleState, ConstraintMap, IterationRecord,
-                        LowRankFactors, SdpProblem, SketchState, SolverConfig,
-                        dual_objective, init_state, is_descent_step,
-                        membership_certificates, run, sketch_init,
-                        sketch_reconstruct, step, stopping_metric, symmetrize)
+from specbundle import (ConstraintMap, IterationRecord, LowRankFactors,
+                        SdpProblem, SolverConfig, run, sketch_init,
+                        sketch_reconstruct)
 from specbundle.bench import build_maxcut, gen_er_graph, write_trace
-from specbundle.bundle import _finished_aggregate, subgradient_at
+from specbundle.bundle import (BundleState, _finished_aggregate, init_state,
+                               is_descent_step, membership_certificates, step,
+                               stopping_metric, subgradient_at)
+from specbundle.linops import symmetrize
+from specbundle.model import Aggregate, dual_objective
+from specbundle.sketch import SketchState
 
 from conftest import rand_problem
 
 
 # -- configuration -----------------------------------------------------------
-
-def test_config_defaults_resolve():
-    cfg = SolverConfig(rbar=4)
-    assert cfg.resolved_hr_keep() == 3
-    assert SolverConfig(rbar=4, hr_keep=1).resolved_hr_keep() == 1
-    cfg.validate()
-
 
 @pytest.mark.parametrize("kw", [
     dict(variant="steepest"),
@@ -39,12 +35,11 @@ def test_config_defaults_resolve():
     dict(rho=0.0),
     dict(rho=-1.0),
     dict(rbar=0),
-    dict(rbar=2, hr_keep=2),
-    dict(hr_keep=-1),
     dict(storage="dense"),
     dict(max_iters=0),
     dict(inner_max_iter=0, rbar=2),
     dict(sketch_rank=0, storage="compressed"),
+    dict(sketch_rank=2),
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
@@ -283,13 +278,13 @@ def test_zero_trace_reset_leaves_zeros():
 # -- variant equivalences ------------------------------------------------------
 
 def test_hybrid_keep_zero_matches_block():
-    # hr_keep=0 recycles nothing, so hybrid is the block rule: the same
-    # arithmetic, bit for bit
+    # at rbar=1 hybrid recycles nothing (r_p = 0), so it is the block rule:
+    # the same arithmetic, bit for bit
     rng = np.random.default_rng(3)
     prob = rand_problem(rng, n=6, m=4)
     y0 = rng.normal(size=4)
-    cfg_b = SolverConfig(variant="block", rbar=2, rho=1.2)
-    cfg_h = SolverConfig(variant="hybrid", rbar=2, hr_keep=0, rho=1.2)
+    cfg_b = SolverConfig(variant="block", rbar=1, rho=1.2)
+    cfg_h = SolverConfig(variant="hybrid", rbar=1, rho=1.2)
     sb = init_state(prob, cfg_b, y0=y0.copy())
     sh = init_state(prob, cfg_h, y0=y0.copy())
     for _ in range(6):
@@ -356,7 +351,8 @@ def test_membership_detects_doctored_record(storage):
     # storages (the sketch's error is its probe estimate of that size)
     rng = np.random.default_rng(7)
     prob = rand_problem(rng, n=6, m=4)
-    cfg = SolverConfig(variant="hr", rbar=2, storage=storage, sketch_rank=2)
+    cfg = SolverConfig(variant="hr", rbar=2, storage=storage,
+                       sketch_rank=2 if storage == "compressed" else None)
     state = init_state(prob, cfg)
     for _ in range(3):
         state, _, info = step(prob, cfg, state)
@@ -377,7 +373,8 @@ def test_compressed_membership_matches_explicit_twin():
     errs = {}
     for storage in ("explicit", "compressed"):
         cfg = SolverConfig(variant="hr", rbar=3, max_iters=25, storage=storage,
-                           sketch_rank=3, check_invariants=True)
+                           sketch_rank=3 if storage == "compressed" else None,
+                           check_invariants=True)
         rep = run(prob, cfg).stats.invariants
         assert rep.checked == 25 and rep.membership_feas <= 1e-8
         errs[storage] = rep.membership_err
@@ -485,7 +482,8 @@ def test_run_primal_is_last_descent_record(storage):
     # record, reconstructed as factors when it is a sketch
     rng = np.random.default_rng(17)
     prob = rand_problem(rng, n=8, m=4)
-    cfg = SolverConfig(variant="hr", rbar=2, max_iters=8, storage=storage, sketch_rank=3)
+    cfg = SolverConfig(variant="hr", rbar=2, max_iters=8, storage=storage,
+                       sketch_rank=3 if storage == "compressed" else None)
     state, want = init_state(prob, cfg), None
     for _ in range(cfg.max_iters):
         state, rec, info = step(prob, cfg, state)
@@ -531,6 +529,16 @@ def test_lanczos_traces_are_deterministic(tmp_path):
     want = (tmp_path / "fresh.csv").read_bytes()
     assert (tmp_path / "a.csv").read_bytes() == want
     assert (tmp_path / "b.csv").read_bytes() == want
+
+
+def test_invariant_diagnostics_build_no_dense_slack_above_the_threshold(monkeypatch):
+    def refuse(self, C, y):
+        raise AssertionError("dense slack built")
+    monkeypatch.setattr(ConstraintMap, "slack", refuse)
+    cfg = SolverConfig(rbar=2, rho=1.0, max_iters=5, storage="compressed",
+                       sketch_rank=5, check_invariants=True)
+    res = run(_lanczos_problem(), cfg)
+    assert res.stats.iterations == 5 and res.stats.invariants.checked == 5
 
 
 def test_dense_path_never_loads_scipy_sparse():

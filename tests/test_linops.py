@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from specbundle import (ConstraintMap, DimensionError, RankError,
-                        orthonormalize, symmetrize, top_eigs)
+from specbundle import ConstraintMap, DimensionError, RankError
+from specbundle.linops import orthonormalize, symmetrize, top_eigs
 
 from conftest import dense_constraints, rand_sparse_map, symm
 

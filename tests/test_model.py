@@ -5,12 +5,13 @@ import pytest
 import scipy.linalg
 
 import specbundle.model as model
-from specbundle import (Aggregate, ConstraintMap, SdpProblem, SolverConfig,
-                        dual_objective, init_state, model_value,
-                        objective_with_spectrum, orthonormalize,
-                        simple_model_value, sketch_init, step, top_eigs,
-                        zero_aggregate)
+from specbundle import ConstraintMap, SdpProblem, SolverConfig, sketch_init
 from specbundle.bench import build_completion, build_maxcut, gen_completion, gen_er_graph
+from specbundle.bundle import init_state, step
+from specbundle.linops import orthonormalize, top_eigs
+from specbundle.model import (Aggregate, dual_objective, model_value,
+                              objective_with_spectrum, simple_model_value,
+                              zero_aggregate)
 
 from conftest import rand_problem, rand_setup
 
@@ -135,6 +136,22 @@ def test_lanczos_matches_dense_along_a_trajectory():
 
 
 # -- cutting model ----------------------------------------------------------
+
+def test_model_value_above_the_threshold_matches_the_dense_formula():
+    # n=450 builds the slack as a CSR matrix; the closed form must agree
+    # with V^T D V on the dense slack
+    prob = build_maxcut(gen_er_graph(450, 0.02, 0))
+    assert prob.n > model._SPARSE_ABOVE_N
+    rng = np.random.default_rng(11)
+    V = orthonormalize(rng.normal(size=(prob.n, 3)))
+    for y in (np.zeros(prob.m), rng.normal(size=prob.m)):
+        D = -prob.A.slack(prob.C, y)
+        lam = float(np.linalg.eigvalsh(V.T @ D @ V)[-1])
+        assert lam > 0.0
+        want = -float(prob.b @ y) + prob.alpha * lam
+        got = model_value(prob, zero_aggregate(prob), V, y)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
 
 def test_model_tight_at_build_point():
     # V spans the top eigenvector of A*y - C and the aggregate is zero:

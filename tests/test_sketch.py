@@ -4,9 +4,9 @@ shadow, and reconstruction accuracy on exactly low-rank streams."""
 import numpy as np
 import pytest
 
-from specbundle import (DimensionError, LowRankFactors, gaussian_matrix,
-                        sketch_init, sketch_reconstruct, sketch_scale,
-                        sketch_update)
+from specbundle import (DimensionError, LowRankFactors, sketch_init,
+                        sketch_reconstruct, sketch_scale, sketch_update)
+from specbundle.sketch import gaussian_matrix
 
 from conftest import symm
 
@@ -158,10 +158,11 @@ def test_reconstruct_exact_rank_r_streams():
 def test_reconstruct_truncates_to_requested_rank():
     rng = np.random.default_rng(10)
     n = 25
-    st = sketch_init(n, 3, seed=4)
+    # a rank-1 sketch of a rank-3 update
+    st = sketch_init(n, 1, seed=4)
     W = rng.normal(size=(n, 3))
     st = sketch_update(st, 0.0, W, np.diag([5.0, 2.0, 1.0]))
-    fac = sketch_reconstruct(st, rank=1)
+    fac = sketch_reconstruct(st)
     assert fac.weights.size == 1
     assert np.linalg.matrix_rank(fac.dense()) == 1
 

@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbundle import linops, subproblem
-from specbundle import (InnerProblem, SolverConfig, run, project_psd_simplex_hull,
-                        project_simplex_hull, solve_inner_apg,
-                        solve_inner_rank1, solve_subproblem, zero_aggregate,
-                        model_value)
+from specbundle import (ConstraintMap, SdpProblem, SolverConfig, run,
+                        project_simplex_hull, solve_inner_apg, solve_subproblem)
 from specbundle.bench import build_maxcut, gen_er_graph, write_trace
-from specbundle.model import SdpProblem
-from specbundle.linops import ConstraintMap
+from specbundle.model import model_value, zero_aggregate
+from specbundle.subproblem import (InnerProblem, project_psd_simplex_hull,
+                                   solve_inner_rank1)
 
 from conftest import (grid_min_rank1, grid_min_rank2, project_hull_oracle,
                       rand_setup, symm)

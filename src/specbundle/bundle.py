@@ -298,7 +298,8 @@ def subgradient_at(prob, lam1, v1):
 def check_model_dominance(prob, state, rec, info, rng, report):
     """At random probes y around the step's candidate: the two-cut model
     stays below the refreshed aggregate model of ``state``, which stays
-    below the true objective."""
+    below the true objective.  Each probe's slack is built once, for
+    both evaluations."""
     z = state.z
     g = subgradient_at(prob, float(info.vals[0]), info.vecs[:, 0])
     s = -prob.b + info.sol.AX
@@ -310,8 +311,9 @@ def check_model_dominance(prob, state, rec, info, rng, report):
             continue
         y = z + radius * scale_z * d / nd
         sv = simple_model_value(rec.F_z, g, s, rec.Fbar_z, z, y)
-        mv = model_value(prob, state.agg, state.V, y)
-        fv = dual_objective(prob, y)
+        D = prob.dual_slack(y)
+        mv = model_value(prob, state.agg, state.V, y, D)
+        fv = dual_objective(prob, y, D)
         scale = 1.0 + abs(fv)
         report.simple_minus_model = max(report.simple_minus_model, (sv - mv) / scale)
         report.model_minus_f = max(report.model_minus_f, (mv - fv) / scale)

@@ -39,8 +39,8 @@ class RankError(ValueError):
 
 
 class EigsFallbackWarning(RuntimeWarning):
-    """A Lanczos eigensolve failed its residual check or did not converge,
-    and was redone densely."""
+    """A Lanczos eigensolve failed its residual check, or ARPACK failed or
+    did not converge, and the solve was redone densely."""
 
 
 # a Lanczos result is kept when its top Ritz pair (theta, v) satisfies
@@ -234,8 +234,8 @@ def top_eigs(M, r):
 
 def _top_eigs_sparse(M, r):
     """``top_eigs`` of a sparse symmetric matrix by ARPACK's ``eigsh``
-    (``which="LA"``, ``tol=0``), always started from the fixed vector
-    ``gaussian_matrix(0, (n,))``: ARPACK's own random start gives
+    (``which="LA"``, ``tol=_EIGSH_RES_TOL``), always started from the fixed
+    vector ``gaussian_matrix(0, (n,))``: ARPACK's own random start gives
     different bits on repeated calls.
 
     Inexactness: the top Ritz value theta1 is at most lambda_max, so an
@@ -243,21 +243,40 @@ def _top_eigs_sparse(M, r):
     ``alpha * |M v1 - theta1 v1|`` (the residual bounds the distance to
     some eigenvalue; Lanczos from a generic start finds the extreme one).
     That residual is computed on return; when it exceeds
-    ``_EIGSH_RES_TOL * max(1, |M|_F)``, or ARPACK does not converge, the
-    solve is redone densely with an ``EigsFallbackWarning``.  ``r == n``,
+    ``_EIGSH_RES_TOL * max(1, |M|_F)``, or ARPACK fails (does not converge,
+    or stops on an error such as a start vector that ``M`` maps to zero),
+    the solve is redone densely with an ``EigsFallbackWarning``.  ``r == n``,
     which ``eigsh`` cannot do, goes dense without one.
+
+    Why ``tol=_EIGSH_RES_TOL``: ARPACK accepts a Ritz pair once its residual
+    estimate is at most ``tol * max(eps**(2/3), |theta|)``, and
+    ``|theta1| <= |M|_2 <= |M|_F``, so its own stopping test implies the
+    gate above up to roundoff; the gate still checks the true residual.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh, norm
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, norm
 
     from .sketch import gaussian_matrix
 
     n = M.shape[0]
     if r == n:
         return top_eigs(M.toarray(), r)
+
+    class Product(LinearOperator):
+        # ARPACK calls matvec hundreds of times per solve, and the base
+        # class checks and reshapes on every call, a sizeable share of one
+        # sparse product at these orders; here matvec is the bare product
+        def _matvec(self, x):
+            return M @ x
+
+        matvec = _matvec
+
     try:
-        vals, vecs = eigsh(M, k=r, which="LA", tol=0, v0=gaussian_matrix(0, (n,)))
+        vals, vecs = eigsh(Product(M.dtype, M.shape), k=r, which="LA", tol=_EIGSH_RES_TOL,
+                           v0=gaussian_matrix(0, (n,)))
     except ArpackNoConvergence as exc:
         why = f"ARPACK did not converge ({exc})"
+    except ArpackError as exc:
+        why = f"ARPACK failed ({exc})"
     else:
         order = np.argsort(vals)[::-1]
         vals, vecs = vals[order], vecs[:, order]

@@ -28,7 +28,10 @@ up to ``alpha * |M v1 - theta1 v1|``, and the descent test
 true F(z) is above the threshold by as much.  Every call checks that
 residual against ``linops._EIGSH_RES_TOL * max(1, |M|_F)`` (1e-10) and
 redoes the solve densely when it fails, so the excess is at most
-``alpha * 1e-10 * max(1, |M|_F)``.
+``alpha * 1e-10 * max(1, |M|_F)``.  ARPACK runs at ``tol`` equal to that
+same constant: it accepts a Ritz pair once its residual estimate is at
+most ``tol * max(eps**(2/3), |theta|)``, and ``|theta1| <= |M|_F``, so its
+own stopping test implies the check up to roundoff.
 """
 
 from __future__ import annotations
@@ -127,21 +130,23 @@ class SdpProblem:
                                        shape=(self.n, self.n))
 
 
-def dual_objective(prob, y):
-    """Penalized dual objective F(y)."""
-    F, _, _ = objective_with_spectrum(prob, y, 1)
+def dual_objective(prob, y, slack=None):
+    """Penalized dual objective F(y); ``slack`` is ``prob.dual_slack(y)``
+    when the caller has already built it."""
+    F, _, _ = objective_with_spectrum(prob, y, 1, slack)
     return F
 
 
-def objective_with_spectrum(prob, y, k):
+def objective_with_spectrum(prob, y, k, slack=None):
     """F(y) plus the top-k eigenpairs of A* y - C (shared eigensolve).
 
     The solver needs the same spectrum for the objective, the next bundle
     basis, and the eigengap diagnostics, so they are computed once.  Above
     order ``_SPARSE_ABOVE_N`` the eigensolve is Lanczos on a CSR slack,
-    whose error enters F as the module docstring states.
+    whose error enters F as the module docstring states.  ``slack`` is
+    ``prob.dual_slack(y)`` when the caller has already built it.
     """
-    vals, vecs = top_eigs(prob.dual_slack(y), k)
+    vals, vecs = top_eigs(prob.dual_slack(y) if slack is None else slack, k)
     F = -float(prob.b @ y) + prob.alpha * max(float(vals[0]), 0.0)
     return F, vals, vecs
 
@@ -173,7 +178,7 @@ def zero_aggregate(prob, X=None):
     return Aggregate(AX=np.zeros(prob.m), CX=0.0, tr=0.0, X=X)
 
 
-def model_value(prob, agg, V, y):
+def model_value(prob, agg, V, y, slack=None):
     """Aggregate bundle model evaluated at y, a lower bound on F(y).
 
     The inner maximum is linear over a compact set whose extreme points
@@ -182,12 +187,13 @@ def model_value(prob, agg, V, y):
         <-b, y> + alpha * max(lambda_max(V^T (A*y - C) V), cbar / alpha, 0)
     with cbar = <Xbar, A* y - C> evaluated from the caches.  Above order
     ``_SPARSE_ABOVE_N`` the slack is the CSR matrix, so no n x n array is
-    built.
+    built.  ``slack`` is ``prob.dual_slack(y)`` when the caller has already
+    built it.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
-    D = prob.dual_slack(y)
+    D = prob.dual_slack(y) if slack is None else slack
     lam = float(_eigh(symmetrize(V.T @ D @ V))[0][-1])
     cbar = float(agg.AX @ y) - agg.CX
     return -float(prob.b @ y) + prob.alpha * max(lam, cbar / prob.alpha, 0.0)

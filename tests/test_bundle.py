@@ -580,3 +580,16 @@ def test_failed_lanczos_solve_is_redone_densely_with_a_warning(fault, monkeypatc
     for got, ref in zip(res.records, dense.records):
         assert abs(got.F_z - ref.F_z) <= 1e-12 * abs(ref.F_z)
         assert got.descent == ref.descent
+
+
+def test_arpack_error_is_redone_densely_with_a_warning():
+    # at y0 = 0 the slack is the zero matrix, which maps ARPACK's start
+    # vector to zero (ARPACK error -9); the zero matrix's eigenbasis is not
+    # unique, so the run is not compared with the dense one
+    n = model._SPARSE_ABOVE_N + 1
+    A = ConstraintMap.from_triples(n, [[(i, i, 1.0)] for i in range(n)])
+    prob = SdpProblem(C=np.zeros((n, n)), A=A, b=np.ones(n), alpha=2.0 * n)
+    res = run(prob, SolverConfig(rbar=2, max_iters=3))
+    assert res.stats.iterations == 3
+    assert any(w.startswith("iteration 0: ") and "ARPACK failed" in w and "redone densely" in w
+               for w in res.stats.warnings)

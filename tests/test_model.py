@@ -1,5 +1,7 @@
 """Penalized dual objective and cutting-model checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,7 @@ import specbundle.model as model
 from specbundle import ConstraintMap, SdpProblem, SolverConfig, sketch_init
 from specbundle.bench import build_completion, build_maxcut, gen_completion, gen_er_graph
 from specbundle.bundle import init_state, step
-from specbundle.linops import orthonormalize, top_eigs
+from specbundle.linops import EigsFallbackWarning, orthonormalize, top_eigs
 from specbundle.model import (Aggregate, dual_objective, model_value,
                               objective_with_spectrum, simple_model_value,
                               zero_aggregate)
@@ -133,6 +135,55 @@ def test_lanczos_matches_dense_along_a_trajectory():
         assert np.linalg.norm(r, axis=0).max() <= 1e-10 * np.abs(vd).max()
         # the top eigenvalue is simple here: same vector, same sign
         assert np.abs(Vs[:, 0] - Vd[:, 0]).max() <= 1e-8
+
+
+def _lanczos_trajectory():
+    """The n=450 problem and the seven points of the trajectory above,
+    built with ``EigsFallbackWarning`` raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EigsFallbackWarning)
+        prob = build_maxcut(gen_er_graph(450, 0.02, 0))
+        cfg = SolverConfig(rbar=2, rho=1.0)
+        state = init_state(prob, cfg)
+        points = [state.y]
+        for _ in range(6):
+            state, _, _ = step(prob, cfg, state)
+            points.append(state.z)
+    return prob, points
+
+
+def test_lanczos_needs_no_dense_redo_along_a_trajectory():
+    prob, points = _lanczos_trajectory()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", EigsFallbackWarning)
+        for y in points:
+            top_eigs(prob._neg_slack_csr(y), 3)
+
+
+def test_lanczos_operator_gives_the_bits_of_the_matrix(monkeypatch):
+    # top_eigs hands eigsh a LinearOperator; eigsh on the CSR matrix itself,
+    # with the same keywords, must return the same bits
+    import scipy.sparse.linalg as spla
+
+    eigsh = spla.eigsh
+    calls = []
+
+    def spy(A, **kw):
+        out = eigsh(A, **kw)
+        calls.append((A, kw, out))
+        return out
+
+    prob, points = _lanczos_trajectory()
+    monkeypatch.setattr(spla, "eigsh", spy)
+    for y in points:
+        M = prob._neg_slack_csr(y)
+        top_eigs(M, 3)
+        (A, kw, (vals, vecs)), = calls
+        calls.clear()
+        assert not scipy.sparse.issparse(A) and A.shape == M.shape
+        want_vals, want_vecs = eigsh(M, **kw)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert vecs.tobytes() == want_vecs.tobytes()
 
 
 # -- cutting model ----------------------------------------------------------

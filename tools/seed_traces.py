@@ -36,7 +36,7 @@ change that must leave the iterates alone is checked with
 
 BLAS and OpenMP are pinned to one thread before numpy loads, as in
 ``perfbench/run.py``, because the thread count changes the trajectory.
-All twenty-one solves take about 60 s on two cores.
+All twenty-one solves take about 40 s on two cores.
 """
 
 import os

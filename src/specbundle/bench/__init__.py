@@ -1,9 +1,9 @@
-"""Benchmark harness: problem builders, references, metrics, run
+"""Benchmark harness: problem builders, references and metrics, run
 verification, trace persistence, and the command-line front end.
 
 The package exports what the acceptance gate and the benchmark use; the
 other helpers stay in their modules (``problems``, ``reference``,
-``metrics``, ``verify``, ``traceio``, ``cli``)."""
+``verify``, ``traceio``, ``cli``)."""
 
 from .problems import build_completion, build_maxcut, gen_completion, gen_er_graph
 from .reference import ReferenceValues, completion_reference, maxcut_reference

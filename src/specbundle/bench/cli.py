@@ -31,11 +31,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ..bundle import SolverConfig, run
-from .metrics import metrics_from_run
 from .problems import (ParseError, build_completion, build_maxcut,
                        gen_completion, gen_er_graph, read_gset,
                        read_observations, triangle_graph)
-from .reference import ReferenceValues, completion_reference, maxcut_reference
+from .reference import (ReferenceValues, compute_metrics, completion_reference,
+                        maxcut_reference, rel_gap)
 from .traceio import (TraceFormatError, read_summary, read_trace,
                       summary_dict, write_summary, write_trace)
 from .verify import verify_run
@@ -85,19 +85,6 @@ def make_instance(problem, gen, input_path):
                   f"pobs={kv['pobs']} seed={kv['seed']}")
 
 
-def build_problem(problem, inst, alpha):
-    if problem == "maxcut":
-        return build_maxcut(inst, alpha=alpha)
-    return build_completion(inst, alpha=alpha)
-
-
-def make_references(problem, inst):
-    if problem == "maxcut":
-        refs, _ = maxcut_reference(inst)
-        return refs
-    return completion_reference(inst)
-
-
 def load_references(path):
     with open(path) as fh:
         return ReferenceValues.from_dict(json.load(fh))
@@ -132,12 +119,41 @@ def _config_from_args(args, variant, rbar):
     ).validate()
 
 
-def _resolve_refs(args, problem, inst):
+def _set_up(args):
+    """(problem, label, references or None) from the instance and
+    reference flags of ``solve`` and ``sweep``."""
+    inst, label = make_instance(args.problem, args.gen, args.input)
+    if args.problem == "maxcut":
+        prob = build_maxcut(inst, alpha=args.alpha)
+    else:
+        prob = build_completion(inst, alpha=args.alpha)
+    refs = None
     if args.ref is not None:
-        return load_references(args.ref)
-    if args.auto_ref:
-        return make_references(problem, inst)
-    return None
+        refs = load_references(args.ref)
+    elif args.auto_ref and args.problem == "maxcut":
+        refs, _ = maxcut_reference(inst)
+    elif args.auto_ref:
+        refs = completion_reference(inst)
+    return prob, label, refs
+
+
+def _record(prob, cfg, result, refs, label, trace=None, summary=None, **extra):
+    """Score a finished run against ``refs`` on its last iteration (the
+    trace's tail), write its trace and summary (with ``extra`` keys) to the
+    paths given, and return the metrics, or None without references."""
+    metrics = None
+    if refs is not None:
+        rec = result.records[-1]
+        metrics = compute_metrics(result.state.F_y, rec.pval, rec.feas,
+                                  float(np.linalg.norm(prob.b)), refs)
+    if trace:
+        write_trace(trace, result.records, cfg.rbar)
+    if summary:
+        write_summary(summary, {**summary_dict(cfg, result, refs=refs, metrics=metrics,
+                                               problem_label=label,
+                                               alpha_effective=prob.alpha),
+                                **extra})
+    return metrics
 
 
 def _add_instance_flags(p):
@@ -165,33 +181,23 @@ def _add_solver_flags(p):
 
 
 def cmd_solve(args):
-    inst, label = make_instance(args.problem, args.gen, args.input)
-    prob = build_problem(args.problem, inst, args.alpha)
     cfg = _config_from_args(args, args.variant, args.rbar)
-    refs = _resolve_refs(args, args.problem, inst)
-    t0 = time.perf_counter()
-    result = run(prob, cfg)
-    elapsed = time.perf_counter() - t0
-    metrics = None
-    if refs is not None:
-        metrics = metrics_from_run(result, refs, float(np.linalg.norm(prob.b)))
+    prob, label, refs = _set_up(args)
+    result, elapsed, _ = _timed_run((prob, cfg))
+    metrics = _record(prob, cfg, result, refs, label, args.trace, args.summary)
     print(f"{label}: n={prob.n} m={prob.m} alpha={prob.alpha:g}")
     print(f"{cfg.variant} rbar={cfg.rbar}: {result.stats.iterations} iterations "
           f"({result.stats.descent_steps} descent), stop: {result.stats.stop_reason}, "
           f"{elapsed:.2f}s")
     print(f"final objective {result.state.F_y:.12g}")
     if metrics is not None:
-        print(f"dual opt {metrics.dual_opt:.3e}  primal opt {metrics.primal_opt:.3e}  "
-              f"primal feas {metrics.primal_feas:.3e}")
+        print(f"dual opt {metrics['dual_opt']:.3e}  primal opt {metrics['primal_opt']:.3e}  "
+              f"primal feas {metrics['primal_feas']:.3e}")
     for w in result.stats.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.trace:
-        write_trace(args.trace, result.records, cfg.rbar)
         print(f"trace written to {args.trace}")
     if args.summary:
-        write_summary(args.summary, summary_dict(
-            cfg, result, refs=refs, metrics=metrics, problem_label=label,
-            alpha_effective=prob.alpha))
         print(f"summary written to {args.summary}")
     if args.save_ref and refs is not None:
         with open(args.save_ref, "w") as fh:
@@ -224,31 +230,14 @@ def cmd_verify(args):
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 
-def _sweep_job(job):
-    """One sweep run; also returns the BLAS thread setting it ran under."""
+def _timed_run(job):
+    """Run ``job = (problem, config)``; returns the result, its wall time
+    and the BLAS thread setting it ran under."""
     prob, cfg = job
     t0 = time.perf_counter()
     result = run(prob, cfg)
     return (result, time.perf_counter() - t0,
             os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
-
-
-def _pool_map(jobs, workers):
-    """``_sweep_job`` over ``jobs`` in freshly spawned worker processes,
-    which inherit ``_WORKER_ENV`` (set here only while they start, since
-    BLAS reads it once, when numpy loads)."""
-    saved = {k: os.environ.get(k) for k in _WORKER_ENV}
-    os.environ.update(_WORKER_ENV)
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(_sweep_job, jobs))
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                del os.environ[k]
-            else:
-                os.environ[k] = v
 
 
 def cmd_sweep(args):
@@ -258,23 +247,32 @@ def cmd_sweep(args):
             rbars.append(int(tok))
         except ValueError:
             raise ValueError(f"--rbar takes a comma-separated list of sizes, got {tok!r}") from None
-    variants = args.variants.split(",")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs takes a positive worker count, got {args.jobs}")
+    cfgs = [_config_from_args(args, variant, rbar)
+            for variant in args.variants.split(",") for rbar in rbars]
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-    inst, label = make_instance(args.problem, args.gen, args.input)
-    prob = build_problem(args.problem, inst, args.alpha)
-    refs = _resolve_refs(args, args.problem, inst)
-    norm_b = float(np.linalg.norm(prob.b))
+    prob, label, refs = _set_up(args)
 
-    jobs = []
-    for variant in variants:
-        for rbar in rbars:
-            jobs.append((variant, rbar,
-                         _config_from_args(args, variant, rbar)))
+    jobs = [(prob, cfg) for cfg in cfgs]
     if args.jobs > 1:
-        outcomes = _pool_map([(prob, cfg) for _, _, cfg in jobs], args.jobs)
+        # workers are spawned with _WORKER_ENV, set here only while they
+        # start, since BLAS reads it once, when numpy loads
+        saved = {k: os.environ.get(k) for k in _WORKER_ENV}
+        os.environ.update(_WORKER_ENV)
+        try:
+            with ProcessPoolExecutor(max_workers=args.jobs,
+                                     mp_context=multiprocessing.get_context("spawn")) as pool:
+                outcomes = list(pool.map(_timed_run, jobs))
+        finally:
+            for k, v in saved.items():
+                if v is None:
+                    del os.environ[k]
+                else:
+                    os.environ[k] = v
     else:
-        outcomes = [_sweep_job((prob, cfg)) for _, _, cfg in jobs]
+        outcomes = [_timed_run(job) for job in jobs]
     threads = ",".join(sorted({t for _, _, t in outcomes}))
 
     print(f"{label}: n={prob.n} m={prob.m} alpha={prob.alpha:g}")
@@ -283,22 +281,20 @@ def cmd_sweep(args):
               f"{'dual opt.':>11} {'primal opt.':>11} {'primal feas.':>12} {'time (s)':>9}")
     print(header)
     print("-" * len(header))
-    for (variant, rbar, cfg), (result, elapsed, _) in zip(jobs, outcomes):
-        metrics = metrics_from_run(result, refs, norm_b) if refs is not None else None
+    for cfg, (result, elapsed, _) in zip(cfgs, outcomes):
+        trace = summary = None
+        if args.out_dir:
+            stem = f"{args.out_dir}/{args.problem}_{cfg.variant}_r{cfg.rbar}"
+            trace, summary = stem + ".csv", stem + ".json"
+        metrics = _record(prob, cfg, result, refs, label, trace, summary,
+                          blas_threads=threads)
         if metrics is not None:
-            cells = (f"{metrics.dual_opt:>11.3e} {metrics.primal_opt:>11.3e} "
-                     f"{metrics.primal_feas:>12.3e}")
+            cells = (f"{metrics['dual_opt']:>11.3e} {metrics['primal_opt']:>11.3e} "
+                     f"{metrics['primal_feas']:>12.3e}")
         else:
             cells = f"{'-':>11} {'-':>11} {'-':>12}"
-        print(f"{variant:<8} {rbar:>4} {result.stats.iterations:>5} "
+        print(f"{cfg.variant:<8} {cfg.rbar:>4} {result.stats.iterations:>5} "
               f"{result.stats.descent_steps:>7} {cells} {elapsed:>9.2f}")
-        if args.out_dir:
-            stem = f"{args.out_dir}/{args.problem}_{variant}_r{rbar}"
-            write_trace(stem + ".csv", result.records, cfg.rbar)
-            summary = summary_dict(cfg, result, refs=refs, metrics=metrics,
-                                   problem_label=label, alpha_effective=prob.alpha)
-            summary["blas_threads"] = threads
-            write_summary(stem + ".json", summary)
     return 0
 
 
@@ -310,16 +306,15 @@ def cmd_plotdata(args):
         d_star = args.d_star
     else:
         raise ValueError("pass --ref or --d-star for the gap denominator")
-    denom = abs(d_star) if d_star != 0.0 else 1.0
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(out)
         w.writerow(["t", "rel_gap"])
         if records:
-            w.writerow([0, format((records[0].F_y - d_star) / denom, ".17g")])
+            w.writerow([0, format(rel_gap(records[0].F_y, d_star), ".17g")])
         for rec in records:
             f_ref = rec.F_z if rec.descent else rec.F_y
-            w.writerow([rec.t, format((f_ref - d_star) / denom, ".17g")])
+            w.writerow([rec.t, format(rel_gap(f_ref, d_star), ".17g")])
     finally:
         if args.out:
             out.close()

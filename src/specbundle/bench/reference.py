@@ -62,6 +62,32 @@ _FIELD_TYPES = {"d_star": NUMBER, "p_star": NUMBER, "nuc": NUMBER,
                 "rank": INTEGER, "provenance": STRING}
 
 
+def rel_gap(value, star):
+    """``(value - star) / |star|``, or ``value - star`` when ``star`` is 0."""
+    return (float(value) - star) / (abs(star) if star != 0.0 else 1.0)
+
+
+def compute_metrics(F_y, primal_value, feas_norm, b_norm, refs):
+    """The summary's ``metrics`` object: the accuracy of a final dual
+    point and primal candidate against ``refs``.
+
+    dual_opt:    (F(y) - d*) / |d*|, nonnegative up to reference error.
+    primal_opt:  |<C, X> - p*| / |p*|, with ``primal_value`` = <C, X>.
+    primal_feas: ||A(X) - b|| / ||b||, with ``feas_norm`` = ||A(X) - b||.
+
+    Each denominator is 1 when its reference value or ||b|| is zero; the
+    object also echoes d*, p* and the references' provenance.
+    """
+    return {
+        "dual_opt": rel_gap(F_y, refs.d_star),
+        "primal_opt": abs(rel_gap(primal_value, refs.p_star)),
+        "primal_feas": float(feas_norm) / (b_norm if b_norm > 0.0 else 1.0),
+        "d_star": refs.d_star,
+        "p_star": refs.p_star,
+        "provenance": refs.provenance,
+    }
+
+
 def maxcut_factor_ascent(L, sweeps=4000, seed=0):
     """Maximize <L, R R^T> over unit rows of R by cyclic row updates.
 

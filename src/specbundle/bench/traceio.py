@@ -80,7 +80,8 @@ def read_trace(path):
 
 def summary_dict(cfg, result, refs=None, metrics=None, problem_label="", *,
                  alpha_effective):
-    """JSON-ready summary of a run: config echo, penalty, stopping data, telemetry."""
+    """JSON-ready summary of a run: config echo, penalty, stopping data,
+    telemetry; ``metrics`` is ``reference.compute_metrics``'s object."""
     inv = result.stats.invariants
     return {
         "problem": problem_label,
@@ -95,7 +96,7 @@ def summary_dict(cfg, result, refs=None, metrics=None, problem_label="", *,
         "warnings": list(result.stats.warnings),
         "invariants": inv.as_dict() if inv is not None else None,
         "refs": refs.to_dict() if refs is not None else None,
-        "metrics": metrics.to_dict() if metrics is not None else None,
+        "metrics": metrics,
     }
 
 

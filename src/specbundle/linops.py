@@ -23,7 +23,7 @@ import contextlib
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -141,14 +141,32 @@ class ConstraintMap:
 
     # -- adjoint -------------------------------------------------------
 
-    def adjoint(self, y):
-        """Dense symmetric sum_k y_k A_k."""
+    @cached_property
+    def _positions(self):
+        """``(keys, mirror, inv)``: the distinct flat positions
+        ``row * n + col`` of the stored entries, ascending, the flat
+        positions of their mirror images, and each entry's index in keys."""
+        keys, inv = np.unique(self.row * self.n + self.col, return_inverse=True)
+        r, c = np.divmod(keys, self.n)
+        return keys, c * self.n + r, inv
+
+    def _position_sums(self, y):
+        """At each position of ``_positions``, the sum of its products
+        ``y_k * val`` in storage order from +0.0, so no sum is -0.0."""
         y = np.asarray(y, dtype=float)
         if y.shape != (self.m,):
             raise DimensionError(f"expected y of shape {(self.m,)}, got {y.shape}")
-        upper = np.zeros((self.n, self.n))
-        np.add.at(upper, (self.row, self.col), y[self.idx] * self.val)
-        return upper + np.triu(upper, 1).T
+        keys, _, inv = self._positions
+        return np.bincount(inv, weights=y[self.idx] * self.val, minlength=keys.size)
+
+    def adjoint(self, y):
+        """Dense symmetric sum_k y_k A_k."""
+        sums = self._position_sums(y)
+        keys, mirror, _ = self._positions
+        out = np.zeros(self.n * self.n)
+        out[keys] = sums
+        out[mirror] = sums
+        return out.reshape(self.n, self.n)
 
     def slack(self, C, y):
         """C - sum_k y_k A_k, the dual slack matrix."""
@@ -252,6 +270,16 @@ def _top_eigs_sparse(M, r):
     estimate is at most ``tol * max(eps**(2/3), |theta|)``, and
     ``|theta1| <= |M|_2 <= |M|_F``, so its own stopping test implies the
     gate above up to roundoff; the gate still checks the true residual.
+
+    Why ``maxiter=(n // ncv)**2`` restarts (``ncv`` is eigsh's default basis
+    size, passed explicitly): one implicit restart makes up to ``ncv``
+    products with ``M``, orthogonalizes each new basis vector against up to
+    ``ncv`` others and rotates the n x ncv basis, O(n ncv^2) flops plus a
+    fixed cost per product, while the dense redo costs O(n^3).  So
+    ``(n / ncv)**2`` restarts cost a bounded multiple of the dense redo,
+    one that does not grow with n, and a call that fails to converge
+    wastes at most that much before it is redone.  eigsh's default of
+    ``10 n`` restarts bounds nothing of the kind: it is O(n^2 ncv^2) flops.
     """
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, norm
 
@@ -270,9 +298,10 @@ def _top_eigs_sparse(M, r):
 
         matvec = _matvec
 
+    ncv = min(n, max(2 * r + 1, 20))
     try:
         vals, vecs = eigsh(Product(M.dtype, M.shape), k=r, which="LA", tol=_EIGSH_RES_TOL,
-                           v0=gaussian_matrix(0, (n,)))
+                           v0=gaussian_matrix(0, (n,)), ncv=ncv, maxiter=(n // ncv) ** 2)
     except ArpackNoConvergence as exc:
         why = f"ARPACK did not converge ({exc})"
     except ArpackError as exc:

@@ -88,25 +88,23 @@ class SdpProblem:
 
     @cached_property
     def _slack_pattern(self):
-        """The structure of ``A* y - C`` in CSR form and its scatter from y.
+        """The structure of ``A* y - C`` in CSR form.
 
-        Returns ``(inv, q, src, cvals, indices, indptr)``: triple ``k`` of
-        the constraint map adds to upper-triangle position ``inv[k]`` (of
-        ``q``); stored entry ``e`` (row-major, both triangles, the union of
-        C's nonzeros and the constraint positions) reads that sum from slot
-        ``src[e]``, or from the always-zero slot ``q``, and C from
-        ``cvals[e]``.
+        Returns ``(src, cvals, indices, indptr)``: stored entry ``e``
+        (row-major, both triangles, the union of C's nonzeros and the
+        constraint positions) reads its constraint sum from slot ``src[e]``
+        of ``A._position_sums(y)``, or from a zero slot appended after
+        them, and C from ``cvals[e]``.
         """
-        A, n = self.A, self.n
-        keys, inv = np.unique(A.row * n + A.col, return_inverse=True)
-        r, c = np.divmod(keys, n)
-        lin = np.union1d(np.flatnonzero(self.C), np.concatenate([keys, c * n + r]))
+        n = self.n
+        keys, mirror, _ = self.A._positions
+        lin = np.union1d(np.flatnonzero(self.C), np.concatenate([keys, mirror]))
         rows, cols = np.divmod(lin, n)
         upper = np.minimum(rows, cols) * n + np.maximum(rows, cols)
         pos = np.searchsorted(keys, upper)
         src = np.where(np.append(keys, -1)[pos] == upper, pos, keys.size)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        return inv, keys.size, src, self.C.ravel()[lin], cols, indptr
+        return src, self.C.ravel()[lin], cols, indptr
 
     def dual_slack(self, y):
         """``A* y - C``: the dense ``-A.slack(C, y)`` up to order
@@ -117,15 +115,12 @@ class SdpProblem:
 
     def _neg_slack_csr(self, y):
         """``A* y - C`` as a CSR matrix, equal bit for bit to the dense
-        ``-A.slack(C, y)`` on its stored entries (each position sums its
-        products ``y_k * val`` in the order ``ConstraintMap.adjoint`` does)."""
+        ``-A.slack(C, y)`` on its stored entries (both read the sums of
+        ``ConstraintMap._position_sums``)."""
         import scipy.sparse
 
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.m,):
-            raise DimensionError(f"expected y of shape {(self.m,)}, got {y.shape}")
-        inv, q, src, cvals, indices, indptr = self._slack_pattern
-        U = np.bincount(inv, weights=y[self.A.idx] * self.A.val, minlength=q + 1)
+        src, cvals, indices, indptr = self._slack_pattern
+        U = np.append(self.A._position_sums(y), 0.0)
         return scipy.sparse.csr_matrix((-(cvals - U[src]), indices, indptr),
                                        shape=(self.n, self.n))
 

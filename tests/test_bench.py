@@ -18,11 +18,11 @@ from specbundle.bench import (ReferenceValues, TraceFormatError,
                               summary_dict, verify_run, write_summary,
                               write_trace)
 from specbundle.bench.cli import main
-from specbundle.bench.metrics import compute_metrics, metrics_from_run
 from specbundle.bench.problems import (CompletionInstance, GraphInstance,
                                        ParseError, read_gset, read_observations,
                                        triangle_graph)
-from specbundle.bench.reference import maxcut_factor_ascent, numerical_rank
+from specbundle.bench.reference import (compute_metrics, maxcut_factor_ascent,
+                                        numerical_rank)
 from specbundle.bench.traceio import read_summary, read_trace, trace_header
 from specbundle.bench.verify import sample_gapped_matrix, spectral_truncation_gap
 
@@ -300,11 +300,11 @@ def test_compute_metrics_formulas():
                            provenance="test")
     m = compute_metrics(F_y=-9.0, primal_value=10.5, feas_norm=0.4,
                         b_norm=2.0, refs=refs)
-    assert m.dual_opt == pytest.approx(0.1)
-    assert m.primal_opt == pytest.approx(0.05)
-    assert m.primal_feas == pytest.approx(0.2)
-    assert m.d_star == -10.0 and m.p_star == 10.0
-    assert m.to_dict()["provenance"] == "test"
+    assert m["dual_opt"] == pytest.approx(0.1)
+    assert m["primal_opt"] == pytest.approx(0.05)
+    assert m["primal_feas"] == pytest.approx(0.2)
+    assert m["d_star"] == -10.0 and m["p_star"] == 10.0
+    assert m["provenance"] == "test"
 
 
 def test_compute_metrics_zero_denominators():
@@ -312,22 +312,26 @@ def test_compute_metrics_zero_denominators():
                            provenance="test")
     m = compute_metrics(F_y=0.25, primal_value=-0.5, feas_norm=0.3,
                         b_norm=0.0, refs=refs)
-    assert m.dual_opt == 0.25
-    assert m.primal_opt == 0.5
-    assert m.primal_feas == 0.3
+    assert m["dual_opt"] == 0.25
+    assert m["primal_opt"] == 0.5
+    assert m["primal_feas"] == 0.3
 
 
-def test_metrics_from_run_uses_final_row():
-    prob = build_maxcut(triangle_graph())
+def test_metrics_from_run_uses_final_row(tmp_path, capsys):
+    # the summary of a CLI solve scores the run's final objective and the
+    # primal candidate of the trace's last row
+    rc, trace, summary = _solve_triangle(tmp_path)
+    assert rc == 0
+    capsys.readouterr()
+    data = read_summary(str(summary))
+    m = data["metrics"]
+    rec = read_trace(str(trace))[0][-1]
     refs, _ = maxcut_reference(triangle_graph())
-    res = run(prob, SolverConfig(rbar=2, max_iters=4))
-    m = metrics_from_run(res, refs, float(np.linalg.norm(prob.b)))
-    rec = res.records[-1]
-    again = compute_metrics(res.state.F_y, rec.pval, rec.feas,
-                            float(np.linalg.norm(prob.b)), refs)
-    assert m.dual_opt == again.dual_opt
-    assert m.primal_opt == again.primal_opt
-    assert m.primal_feas == again.primal_feas
+    b_norm = float(np.linalg.norm(build_maxcut(triangle_graph()).b))
+    again = compute_metrics(data["final_objective"], rec.pval, rec.feas, b_norm, refs)
+    assert m["dual_opt"] == again["dual_opt"]
+    assert m["primal_opt"] == again["primal_opt"]
+    assert m["primal_feas"] == again["primal_feas"]
 
 
 # -- trace and summary files -----------------------------------------------------
@@ -380,7 +384,9 @@ def test_trace_read_errors(tmp_path):
 def test_summary_round_trip(tmp_path):
     prob, cfg, res = _short_run(invariants=True)
     refs, _ = maxcut_reference(triangle_graph())
-    metrics = metrics_from_run(res, refs, float(np.linalg.norm(prob.b)))
+    rec = res.records[-1]
+    metrics = compute_metrics(res.state.F_y, rec.pval, rec.feas,
+                              float(np.linalg.norm(prob.b)), refs)
     summary = summary_dict(cfg, res, refs=refs, metrics=metrics,
                            problem_label="maxcut triangle",
                            alpha_effective=prob.alpha)
@@ -395,7 +401,7 @@ def test_summary_round_trip(tmp_path):
     assert back["max_norm_y"] == res.stats.max_norm_y
     assert back["invariants"]["checked"] == res.stats.iterations
     assert back["refs"]["d_star"] == refs.d_star
-    assert back["metrics"]["dual_opt"] == metrics.dual_opt
+    assert back["metrics"]["dual_opt"] == metrics["dual_opt"]
 
 
 # -- verification -----------------------------------------------------------------
@@ -643,6 +649,7 @@ def test_cli_plotdata_rows(tmp_path, capsys):
     ["solve", "--problem", "maxcut", "--gen", "triangle", "--sketch", "tiny"],
     ["solve", "--problem", "maxcut", "--input", "/nonexistent/file.txt"],
     ["plotdata", "--trace", "/nonexistent/trace.csv", "--d-star", "1.0"],
+    ["sweep", "--problem", "maxcut", "--gen", "triangle", "--jobs", "0"],
 ])
 def test_cli_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2

@@ -67,6 +67,24 @@ def test_adjoint_matches_accumulation_oracle():
         assert np.array_equal(got, got.T)
 
 
+def test_adjoint_is_bitwise_the_add_at_scatter():
+    # the reference scatter: np.add.at over the upper triangle, then mirrored
+    def oracle(amap, y):
+        upper = np.zeros((amap.n, amap.n))
+        np.add.at(upper, (amap.row, amap.col), y[amap.idx] * amap.val)
+        return upper + np.triu(upper, 1).T
+
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        # 30 constraints on order 4 share their positions many times over;
+        # zero entries of y give signed-zero products
+        amap = rand_sparse_map(rng, 4, 30, max_nnz=4)
+        y = rng.normal(size=amap.m)
+        y[rng.random(amap.m) < 0.3] = 0.0
+        assert np.unique(amap.row * amap.n + amap.col).size < amap.idx.size
+        assert amap.adjoint(y).tobytes() == oracle(amap, y).tobytes()
+
+
 def test_adjoint_consistency_inner_products():
     # <A(X), y> == <X, A* y> for random X, y
     rng = np.random.default_rng(4)

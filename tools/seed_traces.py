@@ -1,5 +1,6 @@
 """Write the seed-0 solve traces and summaries of the four benchmark
-workloads, of sixteen small runs and of one run on the Lanczos path.
+workloads, of sixteen small runs and of one run on the Lanczos path, and
+the artifacts of the command-line front end on two small instances.
 
     python3 tools/seed_traces.py OUTDIR
 
@@ -25,6 +26,17 @@ order where the objective's eigensolve switches from dense ``eigh`` to
 Lanczos on a sparse slack, block rule at ``rbar=2``, ``rho=1``,
 compressed storage (``sketch_rank=5``), 30 steps.
 
+Then it runs the command-line front end, through ``specbundle.bench.cli.main``
+alone, on the same max-cut graph (n=30) and completion instance (d=8),
+each with ``max_iters=60`` and ``inner_max_iter=60``, and writes under
+``OUTDIR/cli/``: ``<problem>.csv|json`` and ``<problem>-ref.json`` from a
+block ``solve --rbar 3 --auto-ref --check-invariants --trace --summary
+--save-ref``; ``<problem>-sweep/`` from a serial ``sweep --variants
+block,hr --rbar 1,3 --ref <problem>-ref.json --check-invariants
+--out-dir``; and ``<problem>-gap.csv`` from ``plotdata --ref`` on the
+solve's trace.  The commands' printed output, which holds wall times, is
+not written.
+
 Both files write floats that parse back to the same bits (17 significant
 digits in the CSV, Python's round-trip ``repr`` in the JSON), so two
 checkouts that run the same arithmetic give byte-identical files, and a
@@ -36,7 +48,7 @@ change that must leave the iterates alone is checked with
 
 BLAS and OpenMP are pinned to one thread before numpy loads, as in
 ``perfbench/run.py``, because the thread count changes the trajectory.
-All twenty-one solves take about 40 s on two cores.
+All thirty-one solves take about 45 s on two cores.
 """
 
 import os
@@ -54,6 +66,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from specbundle import SolverConfig, run  # noqa: E402
 from specbundle.bench import (build_completion, build_maxcut, gen_completion,  # noqa: E402
                               gen_er_graph, summary_dict, write_summary, write_trace)
+from specbundle.bench.cli import main as cli_main  # noqa: E402
 from workloads import WORKLOADS, set_up  # noqa: E402
 
 
@@ -90,6 +103,23 @@ def write_run(out, name, prob, cfg):
     print(f"{name}: {len(res.records)} iterations -> {path}")
 
 
+def cli_runs(out):
+    """Write the artifacts of the command-line runs under ``out``."""
+    for problem, gen in (("maxcut", "er,n=30,p=0.2,seed=0"),
+                         ("completion", "d=8,rank=2,pobs=0.5,seed=0")):
+        stem = str(out / problem)
+        common = ["--problem", problem, "--gen", gen, "--max-iters", "60",
+                  "--inner-max-iter", "60", "--check-invariants"]
+        for argv in (["solve", *common, "--rbar", "3", "--auto-ref", "--trace", stem + ".csv",
+                      "--summary", stem + ".json", "--save-ref", stem + "-ref.json"],
+                     ["sweep", *common, "--variants", "block,hr", "--rbar", "1,3",
+                      "--ref", stem + "-ref.json", "--out-dir", stem + "-sweep"],
+                     ["plotdata", "--trace", stem + ".csv", "--ref", stem + "-ref.json",
+                      "--out", stem + "-gap.csv"]):
+            if cli_main(argv) != 0:
+                raise SystemExit(f"seed_traces.py: specbundle {' '.join(argv)} failed")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir", help="directory for the <workload>.csv/.json files")
@@ -97,11 +127,13 @@ def main(argv=None):
     out = Path(args.outdir)
     (out / "small").mkdir(parents=True, exist_ok=True)
     (out / "lanczos").mkdir(exist_ok=True)
+    (out / "cli").mkdir(exist_ok=True)
     for name, wl in WORKLOADS.items():
         write_run(out, name, set_up(wl).prob, wl.solver_config(0))
     for name, prob, cfg in small_runs():
         write_run(out / "small", name, prob, cfg)
     write_run(out / "lanczos", *lanczos_run())
+    cli_runs(out / "cli")
     return 0
 
 

@@ -216,6 +216,12 @@ def _eigh(A):
     workspace sizes, without the wrapper's per-call argument handling."""
     if not np.isfinite(A).all():
         raise ValueError("array must not contain infs or NaNs")
+    return _syevr(A)
+
+
+def _syevr(A):
+    """``_eigh`` without its finiteness check, for callers that check a
+    whole stack of matrices at once."""
     lwork, liwork = _syevr_work(A.shape[0])
     w, v, _, _, info = dsyevr(A, compute_v=1, lower=1, lwork=lwork, liwork=liwork)
     if info != 0:

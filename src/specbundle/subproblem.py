@@ -21,6 +21,15 @@ ladder of ``_face_polish``) settle a width-1 bundle on their own and
 refine accelerated projected gradient iterates otherwise; the projection
 onto S_t is spectral and reduces to a simplex-with-slack projection of
 (eta, eigenvalues).
+
+The projection takes a stack of points.  A face ladder's candidates are
+projected as one stack and scored in one pass (``_score``), and a single
+point is a stack of one, so there is one projection algorithm.  Stacked
+and single results agree bit for bit, since the outer trajectory
+amplifies last-bit changes: each matrix gets its own ``dsyevr`` call,
+the least-squares face solves call LAPACK's ``dgelsd`` as
+``np.linalg.lstsq`` does, and the stacked forms are those that reproduce
+the single-point operations.
 """
 
 from __future__ import annotations
@@ -29,28 +38,39 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 
-from .linops import _eigh, symmetrize
+from .linops import DimensionError, _eigh, _syevr, symmetrize
+
+
+def _simplex_hull_rows(X):
+    """Row-wise Euclidean projection of a finite (c, k) array onto
+    { x >= 0, sum(x) <= 1 }.
+
+    Clamping negatives suffices for a row whose clamped copy already
+    satisfies the sum constraint; otherwise the constraint is active and
+    the row takes the classical sort-based simplex projection.
+    """
+    W = np.maximum(X, 0.0)
+    over = W.sum(axis=1) > 1.0
+    if not over.any():
+        return W
+    U = np.sort(X, axis=1)[:, ::-1]
+    shifted = U.cumsum(axis=1) - 1.0
+    counts = np.arange(1, X.shape[1] + 1)
+    # the last index of the support; in exact arithmetic the support
+    # holds index 0, which is also the answer where rounding empties it
+    k = ((U - shifted / counts > 0.0) * counts).argmax(axis=1)
+    tau = shifted[np.arange(k.size), k] / counts[k]
+    return np.where(over[:, None], np.maximum(X - tau[:, None], 0.0), W)
 
 
 def project_simplex_hull(v):
-    """Euclidean projection onto { x >= 0, sum(x) <= 1 }.
-
-    Clamping negatives suffices when the clamped point already satisfies
-    the sum constraint; otherwise the constraint is active and the
-    problem reduces to the classical sort-based simplex projection.
-    """
+    """Euclidean projection onto { x >= 0, sum(x) <= 1 }."""
     v = np.asarray(v, dtype=float)
-    w = np.maximum(v, 0.0)
-    if w.sum() <= 1.0:
-        return w
-    u = np.sort(v)[::-1]
-    shifted = np.cumsum(u) - 1.0
-    counts = np.arange(1, v.size + 1)
-    support = np.nonzero(u - shifted / counts > 0.0)[0]
-    k = support[-1]
-    tau = shifted[k] / (k + 1)
-    return np.maximum(v - tau, 0.0)
+    if not np.isfinite(v).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return _simplex_hull_rows(v[None])[0]
 
 
 def project_psd_simplex_hull(eta0, S0):
@@ -58,12 +78,36 @@ def project_psd_simplex_hull(eta0, S0):
 
     Spectral: the projection keeps the eigenbasis of S0 and jointly
     projects (eta0, eigenvalues) onto the nonnegative simplex hull.
+    Given a vector ``eta0`` of length c and a (c, p, p) stack ``S0``, it
+    returns the c projections as a vector and a stack, each pair bit for
+    bit its own projection.
     """
-    S0 = symmetrize(np.atleast_2d(np.asarray(S0, dtype=float)))
-    lam, Q = _eigh(S0)
-    x = project_simplex_hull(np.concatenate([[float(eta0)], lam]))
-    S = symmetrize((Q * x[1:]) @ Q.T)
-    return float(x[0]), S
+    S0 = np.asarray(S0, dtype=float)
+    if S0.ndim == 3:
+        return _project_psd_stack(np.asarray(eta0, dtype=float), S0)
+    eta, S = _project_psd_stack(np.array([float(eta0)]), np.atleast_2d(S0)[None])
+    return float(eta[0]), S[0]
+
+
+def _project_psd_stack(eta0, S0):
+    """The projection of each pair (eta0[i], S0[i]): one ``dsyevr`` call
+    per matrix, then the simplex step and the rebuild over the stack."""
+    c, p, q = S0.shape
+    if p != q:
+        raise DimensionError(f"expected square matrices, got shape {S0.shape}")
+    S0 = 0.5 * (S0 + S0.transpose(0, 2, 1))
+    if not (np.isfinite(S0).all() and np.isfinite(eta0).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    X = np.empty((c, p + 1))
+    X[:, 0] = eta0
+    # each eigenbasis stays column-major, as dsyevr returns it, so the
+    # rebuild hands BLAS the operand layouts of a single projection
+    Q = np.empty((c, p, p)).transpose(0, 2, 1)
+    for i in range(c):
+        X[i, 1:], Q[i] = _syevr(S0[i])
+    X = _simplex_hull_rows(X)
+    S = np.matmul(Q * X[:, None, 1:], Q.transpose(0, 2, 1))
+    return X[:, 0], 0.5 * (S + S.transpose(0, 2, 1))
 
 
 @dataclass(eq=False)
@@ -120,13 +164,17 @@ class InnerProblem:
         """b - A(eta Xbar + V S V^T)."""
         return self.b - eta * self.AX - self.apply(S)
 
-    def value(self, eta, S):
-        r = self.residual_vec(eta, S)
+    def value(self, eta, S, r=None):
+        """The quadratic at (eta, S); ``r`` is its ``residual_vec`` when
+        the caller already has it."""
+        if r is None:
+            r = self.residual_vec(eta, S)
         return (self.const + eta * self.c_eta + float(np.sum(S * self.G2))
                 + 0.5 / self.rho * float(r @ r))
 
-    def gradient(self, eta, S):
-        r = self.residual_vec(eta, S)
+    def gradient(self, eta, S, r=None):
+        if r is None:
+            r = self.residual_vec(eta, S)
         d_eta = self.c_eta - float(self.AX @ r) / self.rho
         d_S = self.G2 - self.adjoint(r) / self.rho
         return d_eta, symmetrize(d_S)
@@ -144,11 +192,12 @@ def default_inner_tol(b):
     return 1e-9 * (1.0 + float(np.linalg.norm(b)))
 
 
-def _stationarity_residual(ip, e, Ss):
+def _stationarity_residual(ip, e, Ss, r=None):
     """Distance moved by a unit-step projected gradient from the scaled
-    point (e, Ss) = (eta, S/alpha); zero exactly at a minimizer."""
+    point (e, Ss) = (eta, S/alpha); zero exactly at a minimizer.  ``r`` is
+    the point's residual when the caller already has it."""
     a = ip.alpha
-    ge, gS = ip.gradient(e, a * Ss)
+    ge, gS = ip.gradient(e, a * Ss, r)
     r_e, r_S = project_psd_simplex_hull(e - ge, Ss - a * gS)
     return np.sqrt((e - r_e) ** 2 + float(np.sum((Ss - r_S) ** 2)))
 
@@ -182,16 +231,44 @@ def _quadratic_lipschitz(ip):
     return float(lam)
 
 
+@cache
+def _gelsd_work(n):
+    """(lwork, liwork) of dgelsd for an order-``n`` system with one
+    right-hand side, from LAPACK's own workspace query, as
+    np.linalg.lstsq makes it."""
+    lwork, liwork, info = dgelsd_lwork(n, n, 1)
+    if info != 0:
+        raise ValueError(f"dgelsd workspace query failed: {info}")
+    return int(lwork), int(liwork)
+
+
+def _lstsq(H, rhs, rcond):
+    """``np.linalg.lstsq(H, rhs, rcond)[0]`` and the rank, bit for bit, for
+    a square H: the same LAPACK driver (dgelsd), cutoff and workspace,
+    without the wrapper's per-call argument handling.  ``rcond=None``
+    means eps * order, as there."""
+    n = H.shape[0]
+    if rcond is None:
+        rcond = np.finfo(float).eps * n
+    if not np.isfinite(H).all():
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    lwork, liwork = _gelsd_work(n)
+    x, _, rank, info = dgelsd(H, rhs[:, None], lwork, liwork, rcond)
+    if info != 0:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return x[:, 0], rank
+
+
 def _face_solves(H, rhs):
     """Truncated least-squares solve of H u = rhs (valley directions
     dropped) and the exact one (valley resolved when its minimizer is
     finite; the caller's projection rejects blowups).  When the truncated
     solve keeps full rank, gelsd truncates nothing under either cutoff and
     does the same arithmetic twice, so that one solution is returned."""
-    u, _, rank, _ = np.linalg.lstsq(H, rhs, rcond=1e-10)
+    u, rank = _lstsq(H, rhs, 1e-10)
     if rank == H.shape[0]:
         return [u]
-    return [u, np.linalg.lstsq(H, rhs, rcond=None)[0]]
+    return [u, _lstsq(H, rhs, None)[0]]
 
 
 @cache
@@ -216,15 +293,14 @@ def _face_candidates(ip, U, DS, linS, eta_free):
     columns and linear terms of W's upper triangle in svec weighting,
     shared by the two faces of one ``keep``.  Solved unconstrained (see
     ``_face_solves``; the design can carry nearly flat valleys) and once
-    with the trace cap pinned as an equality.  Results are projected onto
-    the feasible set, so a wrong face or an indefinite KKT solve is
-    harmless.  Returns scaled (eta, S/alpha) pairs.
+    with the trace cap pinned as an equality.  Returns the finite
+    solutions as scaled (eta, S/alpha) stacks, unprojected: the caller
+    projects them onto the feasible set, so a wrong face or an indefinite
+    KKT solve is harmless.
     """
     a = ip.alpha
     p = ip.width
     keep = U.shape[1]
-    if keep == 0 and not eta_free:
-        return [(0.0, np.zeros((p, p)))]
     iu, ju, _, tvec = _svec_index(keep)
     D, lin = DS, linS
     if eta_free:
@@ -234,33 +310,19 @@ def _face_candidates(ip, U, DS, linS, eta_free):
     H = D.T @ D / ip.rho
     rhs = D.T @ ip.b / ip.rho - lin
     q = H.shape[0]
-
-    def unpack(u):
-        if not np.all(np.isfinite(u)):
-            return None
-        eta_new = float(u[0]) if eta_free else 0.0
-        W = np.zeros((keep, keep))
-        # + 0.0 maps -0.0 to 0.0, as symmetrizing the mirrored triangle does
-        W[iu, ju] = W[ju, iu] = u[int(eta_free):] + 0.0
-        S_new = (U @ W) @ U.T if keep else np.zeros((p, p))
-        return project_psd_simplex_hull(eta_new, S_new / a)
-
-    out = []
-    for u in _face_solves(H, rhs):
-        if float(np.abs(u).max(initial=0.0)) > 1e10:
-            continue
-        cand = unpack(u)
-        if cand is not None:
-            out.append(cand)
+    sols = [u for u in _face_solves(H, rhs)
+            if not float(np.abs(u).max(initial=0.0)) > 1e10]
     K = np.zeros((q + 1, q + 1))
     K[:q, :q] = H
     K[:q, q] = tvec
     K[q, :q] = tvec
-    kr = np.concatenate([rhs, [a]])
-    cand = unpack(np.linalg.lstsq(K, kr, rcond=1e-12)[0][:q])
-    if cand is not None:
-        out.append(cand)
-    return out
+    sols.append(_lstsq(K, np.concatenate([rhs, [a]]), 1e-12)[0][:q])
+    u = np.array([v for v in sols if np.isfinite(v).all()]).reshape(-1, q)
+    W = np.zeros((len(u), keep, keep))
+    # + 0.0 maps -0.0 to 0.0, as symmetrizing the mirrored triangle does
+    W[:, iu, ju] = W[:, ju, iu] = u[:, int(eta_free):] + 0.0
+    S = np.matmul(np.matmul(U, W), U.T) if keep else np.zeros((len(u), p, p))
+    return (u[:, 0] if eta_free else np.zeros(len(u))), S / a
 
 
 def _face_polish(ip, e, Ss):
@@ -271,6 +333,9 @@ def _face_polish(ip, e, Ss):
     crawl here), so every prefix of the sorted eigenvalues is tried as
     the clamped set, each with eta free and, when eta is small, clamped
     too.  Candidate counts stay tiny because the bundle width is.
+    Returns the candidates as a vector of eta and a stack of S/alpha,
+    all projected in one call but the origin (the eta-clamped face with
+    nothing kept), which is feasible as it stands and comes last.
     """
     lam, Q = _eigh(symmetrize(Ss))
     order = np.argsort(lam)[::-1]      # descending, clamp suffixes
@@ -278,14 +343,52 @@ def _face_polish(ip, e, Ss):
     Qo = Q[:, order]
     TFull = np.matmul(Qo.T, np.matmul(ip.T, Qo))
     G2Full = symmetrize(Qo.T @ ip.G2 @ Qo)
-    out = []
+    faces = []
     for keep in range(p, -1, -1):
         iu, ju, fac, _ = _svec_index(keep)
         U, DS, linS = Qo[:, :keep], TFull[:, iu, ju] * fac, G2Full[iu, ju] * fac
-        out += _face_candidates(ip, U, DS, linS, True)
-        if e <= 0.5:
-            out += _face_candidates(ip, U, DS, linS, False)
-    return out
+        faces.append(_face_candidates(ip, U, DS, linS, True))
+        if e <= 0.5 and keep:
+            faces.append(_face_candidates(ip, U, DS, linS, False))
+    E, S = project_psd_simplex_hull(np.concatenate([f[0] for f in faces]),
+                                    np.concatenate([f[1] for f in faces]))
+    if e <= 0.5:
+        E, S = np.append(E, 0.0), np.concatenate([S, np.zeros((1, p, p))])
+    return E, S
+
+
+def _score(ip, E, Ss, f_cap):
+    """Values of the scaled points (E[i], Ss[i]) and, for those not above
+    ``f_cap``, stationarity residuals (NaN for the others): bit for bit
+    what ``ip.value`` and ``_stationarity_residual`` give point by point.
+
+    Only forms that reproduce the single-point operations are used.  On
+    2,000 random draws (p = 1..8, m up to 200) these matched every time:
+    ``np.matmul(T2, S.reshape(c, p*p, 1))``, ``np.matmul(R[:, None, :],
+    AX[:, None])``, ``np.matmul(R[:, None, :], R[:, :, None])``,
+    ``np.matmul(R[:, None, :], T2)``, ``sum(axis=(1, 2))``,
+    ``cumsum(axis=1)`` and stacked p x p ``matmul``.  These did not:
+    ``T2 @ S.T`` (gemm), ``R @ AX`` (gemv), ``einsum('ij,ij->i', R, R)``
+    and numpy's batched ``eigh`` (syevd).  The scalar square stays a
+    Python ``**``, whose ``pow`` can round differently from ``x * x``.
+    """
+    a = ip.alpha
+    c, p = Ss.shape[:2]
+    S = a * Ss
+    R = ip.b - E[:, None] * ip.AX - np.matmul(ip.T2, S.reshape(c, p * p, 1))[:, :, 0]
+    F = (ip.const + E * ip.c_eta + (S * ip.G2).sum(axis=(1, 2))
+         + 0.5 / ip.rho * np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])
+    res = np.full(c, np.nan)
+    low = ~(F > f_cap)
+    if low.any():
+        e, Ss, R = E[low], Ss[low], R[low]
+        ge = ip.c_eta - np.matmul(R[:, None, :], ip.AX[:, None])[:, 0, 0] / ip.rho
+        gS = ip.G2 - np.matmul(R[:, None, :], ip.T2).reshape(-1, p, p) / ip.rho
+        gS = 0.5 * (gS + gS.transpose(0, 2, 1))
+        r_e, r_S = project_psd_simplex_hull(e - ge, Ss - a * gS)
+        d2 = ((Ss - r_S) ** 2).sum(axis=(1, 2))
+        res[low] = np.sqrt([d ** 2 + t for d, t in zip((e - r_e).tolist(), d2.tolist())])
+    return F, res
 
 
 def solve_inner_apg(ip, max_iter=5000, warm=None):
@@ -304,12 +407,14 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
     a = ip.alpha
     p = ip.width
 
-    def g_val(e, Ss):
-        return ip.value(e, a * Ss)
+    def g_val(e, Ss, r=None):
+        return ip.value(e, a * Ss, r)
 
     def g_grad(e, Ss):
-        de, dS = ip.gradient(e, a * Ss)
-        return de, a * dS
+        """Scaled gradient, and the residual it was computed from."""
+        r = ip.residual_vec(e, a * Ss)
+        de, dS = ip.gradient(e, a * Ss, r)
+        return de, a * dS, r
 
     L = _quadratic_lipschitz(ip)
     L = max(L * 1.05, 1e-12)
@@ -325,19 +430,21 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
     res = np.inf
     it = 0
 
-    def pg_step(e, Ss, ge, gS, L):
-        # backtracking: halve the step (double L) on failed descent check
-        base = g_val(e, Ss)
+    def pg_step(e, Ss, ge, gS, r, L):
+        # backtracking: halve the step (double L) on failed descent check;
+        # r is the residual at (e, Ss), returned alike for the new point
+        base = g_val(e, Ss, r)
         for _ in range(80):
             c_e, c_S = project_psd_simplex_hull(e - ge / L, Ss - gS / L)
             d_e, d_S = c_e - e, c_S - Ss
             quad = base + ge * d_e + float(np.sum(gS * d_S)) \
                 + 0.5 * L * (d_e * d_e + float(np.sum(d_S * d_S)))
-            fc = g_val(c_e, c_S)
+            r_c = ip.residual_vec(c_e, a * c_S)
+            fc = g_val(c_e, c_S, r_c)
             if fc <= quad + 1e-12 * (1.0 + abs(quad)):
-                return c_e, c_S, fc, L
+                break
             L *= 2.0
-        return c_e, c_S, fc, L
+        return c_e, c_S, fc, r_c, L
 
     def try_polish(e0, S0, f0, r0):
         """Best face-refined point reachable from (e0, S0); face solves
@@ -355,11 +462,11 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
         cur_e, cur_S = e0, S0
         for cycle in range(4):
             sel = None
-            for p_e, p_S in _face_polish(ip, cur_e, cur_S):
-                fp = g_val(p_e, p_S)
+            E, S = _face_polish(ip, cur_e, cur_S)
+            F, R = _score(ip, E, S, f_cap)
+            for p_e, p_S, fp, rp in zip(E.tolist(), S, F.tolist(), R.tolist()):
                 if fp > f_cap:
                     continue
-                rp = _stationarity_residual(ip, p_e, p_S)
                 if sel is None or rp < sel[0]:
                     sel = (rp, fp, p_e, p_S)
                 if fp < f_drop and (lower is None or fp < lower[1]):
@@ -379,14 +486,12 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
     polish_gap = 20
     polish_at = 3
     for it in range(1, max_iter + 1):
-        ge, gS = g_grad(w_e, w_S)
-        c_e, c_S, fc, L = pg_step(w_e, w_S, ge, gS, L)
+        c_e, c_S, fc, r_c, L = pg_step(w_e, w_S, *g_grad(w_e, w_S), L)
         if fc > fx:
             # momentum overshoot: restart from the best iterate
             theta = 1.0
-            ge, gS = g_grad(x_e, x_S)
-            c_e, c_S, fc, L = pg_step(x_e, x_S, ge, gS, L)
-        res = _stationarity_residual(ip, c_e, c_S)
+            c_e, c_S, fc, r_c, L = pg_step(x_e, x_S, *g_grad(x_e, x_S), L)
+        res = _stationarity_residual(ip, c_e, c_S, r_c)
         theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
         mom = (theta - 1.0) / theta_next
         w_e = c_e + mom * (c_e - x_e)
@@ -434,8 +539,10 @@ def solve_inner_rank1(ip):
     if ip.width != 1:
         raise ValueError(f"solve_inner_rank1 needs a width-1 bundle, got {ip.width}")
     a = ip.alpha
-    e, Ss = min(_face_polish(ip, 0.0, np.zeros((1, 1))),
-                key=lambda c: ip.value(c[0], a * c[1]))
+    E, S = _face_polish(ip, 0.0, np.zeros((1, 1)))
+    F = _score(ip, E, S, -np.inf)[0].tolist()    # values only
+    i = min(range(len(F)), key=F.__getitem__)
+    e, Ss = E.tolist()[i], S[i]
     res = float(_stationarity_residual(ip, e, Ss))
     return e, a * Ss, InnerInfo(residual=res, iterations=0, converged=True)
 

@@ -467,6 +467,40 @@ def test_face_solve_reuse_bitwise_equals_second_lstsq():
     assert np.array_equal(exact, np.linalg.lstsq(H, rhs, rcond=None)[0])
 
 
+def _lstsq_systems(rng):
+    """Square systems of order 1-30, a third of them rank-deficient."""
+    for k in range(300):
+        q = int(rng.integers(1, 31))
+        r = int(rng.integers(0, q)) if k % 3 == 0 else q
+        D = rng.standard_normal((q + 2, r)) @ rng.standard_normal((r, q))
+        yield D.T @ D / 0.7, rng.standard_normal(q)
+
+
+def test_lstsq_bitwise_equals_numpy():
+    rng = np.random.default_rng(34)
+    subproblem._gelsd_work.cache_clear()
+    for H, rhs in _lstsq_systems(rng):
+        for rcond in (1e-10, 1e-12, None):
+            x, rank = subproblem._lstsq(H, rhs, rcond)
+            x_ref, _, rank_ref, _ = np.linalg.lstsq(H, rhs, rcond=rcond)
+            assert x.tobytes() == x_ref.tobytes()
+            assert rank == rank_ref
+
+
+def test_lstsq_non_finite_input():
+    # a non-finite right-hand side gives NaNs, as np.linalg.lstsq does
+    rhs = np.array([1.0, np.nan, 2.0])
+    x, _ = subproblem._lstsq(np.eye(3), rhs, None)
+    assert np.isnan(x).all() and np.isnan(np.linalg.lstsq(np.eye(3), rhs)[0]).all()
+    # a non-finite matrix raises np.linalg.lstsq's error before LAPACK
+    # sees it; on some of these np.linalg.lstsq itself never returns
+    for bad in (np.nan, np.inf, -np.inf):
+        H = np.eye(3)
+        H[0, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            subproblem._lstsq(H, np.ones(3), None)
+
+
 def _face_polish_reference(ip, e, Ss):
     """The face ladder with every face's index data and columns built
     afresh and W symmetrized from its upper triangle."""
@@ -520,13 +554,99 @@ def test_face_ladder_bitwise_equals_per_face_construction():
             F = rng.standard_normal((p, p))
             Ss = symm(F @ F.T)
             Ss *= (1.0 - e) / np.trace(Ss)
-            got = subproblem._face_polish(ip, e, Ss)
+            got_e, got_S = subproblem._face_polish(ip, e, Ss)
             want = _face_polish_reference(ip, e, Ss)
-            assert len(got) == len(want)
+            assert got_e.shape == (len(want),) and got_S.shape == (len(want), p, p)
             # bytes, not values: a zero's sign must match too
-            for (ge, gS), (we, wS) in zip(got, want):
+            for ge, gS, (we, wS) in zip(got_e, got_S, want):
                 assert np.float64(ge).tobytes() == np.float64(we).tobytes()
                 assert gS.tobytes() == wS.tobytes()
+
+
+def _hull_oracle(v):
+    """The simplex-hull projection of one vector, as it was written before
+    the projections took stacks."""
+    w = np.maximum(v, 0.0)
+    if w.sum() <= 1.0:
+        return w
+    u = np.sort(v)[::-1]
+    shifted = np.cumsum(u) - 1.0
+    k = np.nonzero(u - shifted / np.arange(1, v.size + 1) > 0.0)[0][-1]
+    return np.maximum(v - shifted[k] / (k + 1), 0.0)
+
+
+def _psd_hull_oracle(eta0, S0):
+    """The (eta, S) projection of one pair, written per matrix."""
+    lam, Q = linops._eigh(symm(S0))
+    x = _hull_oracle(np.concatenate([[float(eta0)], lam]))
+    return float(x[0]), symm((Q * x[1:]) @ Q.T)
+
+
+def _projection_stacks(rng):
+    """Stacks with ties, signed zeros, and rows on both sides of the cap."""
+    for k in range(2000):
+        p, c = k % 8 + 1, int(rng.integers(1, 10))
+        E = rng.normal(size=c) * rng.choice([0.01, 0.3, 1.0, 3.0])
+        S = rng.normal(size=(c, p, p)) * rng.choice([0.01, 0.1, 0.3, 1.0, 3.0])
+        if k % 5 == 0:       # ties among eigenvalues and with eta
+            E, S = np.round(E, 1), np.round(S, 1)
+        if k % 7 == 0:
+            E[0], S[0] = -0.0, -0.0
+        if k % 11 == 0:
+            S[:, 0, 0] = -0.0
+        yield E, S
+
+
+def test_stacked_projection_bitwise_equals_per_matrix_oracle():
+    rng = np.random.default_rng(35)
+    rows = {True: 0, False: 0}
+    for E, S in _projection_stacks(rng):
+        got_e, got_S = project_psd_simplex_hull(E, S)
+        assert got_e.shape == E.shape and got_S.shape == S.shape
+        for i in range(len(E)):
+            want_e, want_S = _psd_hull_oracle(E[i], S[i])
+            rows[bool(want_e + np.trace(want_S) < 1.0 - 1e-9)] += 1
+            assert np.float64(got_e[i]).tobytes() == np.float64(want_e).tobytes()
+            assert got_S[i].tobytes() == want_S.tobytes()
+        one_e, one_S = project_psd_simplex_hull(E[0], S[0])
+        assert np.float64(one_e).tobytes() == np.float64(got_e[0]).tobytes()
+        assert one_S.tobytes() == got_S[0].tobytes()
+        v = np.concatenate([E[:1], S[0, 0]])
+        assert project_simplex_hull(v).tobytes() == _hull_oracle(v).tobytes()
+    # both branches of the simplex step were exercised
+    assert min(rows.values()) > 1000
+
+
+def test_stacked_scores_bitwise_equal_single_point():
+    rng = np.random.default_rng(36)
+    for k in range(300):
+        p = k % 6 + 1
+        prob, agg, V, y, rho = rand_setup(rng, n=9, m=8, p=p)
+        ip = InnerProblem.build(prob, agg, V, y, rho)
+        c = int(rng.integers(1, 12))
+        E, S = project_psd_simplex_hull(rng.uniform(-0.5, 1.0, c),
+                                        rng.normal(size=(c, p, p)))
+        f = [ip.value(e, ip.alpha * s) for e, s in zip(E.tolist(), S)]
+        f_cap = float(np.median(f))
+        F, R = subproblem._score(ip, E, S, f_cap)
+        assert F.tobytes() == np.array(f).tobytes()
+        for e, s, fe, re in zip(E.tolist(), S, f, R):
+            if fe > f_cap:
+                assert np.isnan(re)
+            else:
+                want = subproblem._stationarity_residual(ip, e, s)
+                assert np.float64(re).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("project, args", [
+    (project_simplex_hull, ([np.nan, 0.5],)),
+    (project_simplex_hull, ([np.inf, 0.2],)),
+    (project_psd_simplex_hull, (np.nan, np.eye(2))),
+    (project_psd_simplex_hull, (np.array([0.1, np.inf]), np.zeros((2, 2, 2)))),
+])
+def test_hull_projection_rejects_non_finite_vector_entries(project, args):
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        project(*args)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

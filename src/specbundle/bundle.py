@@ -291,7 +291,7 @@ def subgradient_at(prob, lam1, v1):
     """Subgradient of the penalized objective at a point with top slack
     eigenvalue lam1 and eigenvector v1 (zero eigenpart when lam1 <= 0)."""
     if lam1 > 0.0:
-        return -prob.b + prob.alpha * prob.A.congruence(v1)[:, 0, 0]
+        return -prob.b + prob.alpha * prob.A.apply_outer(v1)
     return -prob.b.copy()
 
 

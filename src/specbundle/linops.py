@@ -3,13 +3,17 @@
 Everything downstream (objective evaluation, subproblem solves, bundle
 updates) reduces to a handful of primitives collected here:
 
-* applying the constraint map ``X -> (<A_1,X>, ..., <A_m,X>)`` and its
-  adjoint ``y -> sum_i y_i A_i``,
+* applying the constraint map ``X -> (<A_1,X>, ..., <A_m,X>)`` (also to
+  a rank-one ``v v^T`` without forming it) and its adjoint
+  ``y -> sum_i y_i A_i``, each one ``np.bincount`` scatter,
 * compressing the map through a tall orthonormal basis,
 * partial symmetric eigensolves with a deterministic sign convention
-  (dense subset ``eigh``, or ARPACK's Lanczos ``eigsh`` on a
-  ``scipy.sparse`` matrix, checked by its residual and redone densely when
-  it fails), and a full one bitwise equal to ``scipy.linalg.eigh``,
+  (one direct LAPACK ``dsyevr`` call over an index range on a dense
+  matrix, or ARPACK's Lanczos ``eigsh`` on a ``scipy.sparse`` matrix,
+  checked by its residual and redone densely when it fails), the top
+  eigenvalue alone from an eigenvalue-only ``dsyevr`` call, and a full
+  eigensolve; the dense ones are bitwise equal to ``scipy.linalg.eigh``
+  on the same request,
 * rank-revealing orthonormalization.
 
 Constraint matrices are sparse symmetric and stored as coordinate triples
@@ -134,10 +138,23 @@ class ConstraintMap:
         X = np.asarray(X, dtype=float)
         if X.shape != (self.n, self.n):
             raise DimensionError(f"expected X of shape {(self.n, self.n)}, got {X.shape}")
-        # off-diagonal stored entries count twice by symmetry
-        coeff = np.where(self.row == self.col, 1.0, 2.0) * self.val
-        return np.bincount(self.idx, weights=coeff * X[self.row, self.col],
+        return np.bincount(self.idx, weights=self._coeff * X[self.row, self.col],
                            minlength=self.m)
+
+    def apply_outer(self, v):
+        """``apply(np.outer(v, v))`` bit for bit, without the n x n matrix:
+        the stored entries of v v^T are v[row] * v[col]."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.n,):
+            raise DimensionError(f"expected v of shape {(self.n,)}, got {v.shape}")
+        return np.bincount(self.idx, weights=self._coeff * (v[self.row] * v[self.col]),
+                           minlength=self.m)
+
+    @cached_property
+    def _coeff(self):
+        """Each stored entry's weight in <A_k, X>: val, doubled off the
+        diagonal, since an off-diagonal entry counts twice by symmetry."""
+        return np.where(self.row == self.col, 1.0, 2.0) * self.val
 
     # -- adjoint -------------------------------------------------------
 
@@ -173,7 +190,8 @@ class ConstraintMap:
         C = np.asarray(C, dtype=float)
         if C.shape != (self.n, self.n):
             raise DimensionError(f"expected C of shape {(self.n, self.n)}, got {C.shape}")
-        return C - self.adjoint(y)
+        out = self.adjoint(y)
+        return np.subtract(C, out, out=out)
 
     # -- compression ---------------------------------------------------
 
@@ -194,9 +212,12 @@ class ConstraintMap:
         sym = outer + outer.transpose(0, 2, 1)
         diag = (self.row == self.col)[:, None, None]
         contrib = np.where(diag, 0.5 * sym, sym) * self.val[:, None, None]
-        T = np.zeros((self.m, p, p))
-        np.add.at(T, self.idx, contrib)
-        return T
+        # one scatter over the flat slots idx * p^2 + (k, l): each slot sums
+        # its terms in storage order from +0.0, as np.add.at(T, idx, contrib)
+        # does, so the bits are the same
+        slots = (self.idx[:, None] * (p * p) + np.arange(p * p)).ravel()
+        T = np.bincount(slots, weights=contrib.ravel(), minlength=self.m * p * p)
+        return T.reshape(self.m, p, p)
 
 
 @cache
@@ -229,6 +250,35 @@ def _syevr(A):
     return w, v
 
 
+def _syevr_top(A, r, compute_v):
+    """The top ``r`` eigenvalues of a square float64 matrix, ascending, and
+    with ``compute_v`` their eigenvectors:
+    ``scipy.linalg.eigh(A, subset_by_index=[n - r, n - 1])`` bit for bit
+    (dsyevr over an index range, lower triangle, its workspace sizes).
+
+    ``compute_v=0`` is dsyevr's jobz='N'.  For ``r < n`` it takes the same
+    path as with vectors, tridiagonal reduction then bisection (dstebz), so
+    the values keep their bits; only the eigenvector solves are skipped."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    n = A.shape[0]
+    lwork, liwork = _syevr_work(n)
+    w, v, k, _, info = dsyevr(A, compute_v=compute_v, lower=1, range="I", il=n - r + 1,
+                              iu=n, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    return w[:k], v[:, :k]
+
+
+def top_eigval(M):
+    """Largest eigenvalue of a dense symmetric matrix: ``top_eigs(M, 1)[0][0]``
+    bit for bit, from an eigenvalue-only solve (no eigenvector is formed)."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise DimensionError(f"expected a nonempty square matrix, got shape {M.shape}")
+    return float(_syevr_top(M, 1, 0)[0][0])
+
+
 def top_eigs(M, r):
     """Top ``r`` eigenpairs of a symmetric matrix, descending.
 
@@ -236,7 +286,10 @@ def top_eigs(M, r):
     orthonormal columns in ``vecs``.  Each eigenvector is sign-normalized
     so its first clearly-nonzero coordinate is positive.
 
-    A dense matrix goes to LAPACK's subset ``eigh``.  A ``scipy.sparse``
+    A dense matrix goes to one direct dsyevr call over the top ``r``
+    indices, bit for bit what ``scipy.linalg.eigh(M, subset_by_index=[n - r,
+    n - 1])`` gives, without the wrapper's per-call workspace query; a
+    non-finite entry raises eigh's ``ValueError``.  A ``scipy.sparse``
     matrix goes to ``_top_eigs_sparse`` (Lanczos, inexact; see there).
     """
     # a sparse matrix exists only once scipy.sparse is loaded, so the
@@ -251,7 +304,7 @@ def top_eigs(M, r):
         raise DimensionError(f"requested {r} eigenpairs of an order-{n} matrix")
     if not isinstance(M, np.ndarray):
         return _top_eigs_sparse(M, r)
-    vals, vecs = scipy.linalg.eigh(M, subset_by_index=[n - r, n - 1])
+    vals, vecs = _syevr_top(M, r, 1)
     order = np.argsort(vals)[::-1]
     return vals[order], _fix_signs(vecs[:, order])
 

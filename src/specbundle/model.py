@@ -19,7 +19,11 @@ variant, matching the constant-trace convention the aggregate analysis
 assumes.
 
 The eigensolve behind F: up to order ``_SPARSE_ABOVE_N`` the slack is a
-dense matrix and ``top_eigs`` runs LAPACK's subset ``eigh``.  Above it,
+dense matrix, negated in the buffer the constraint sums were scattered
+into, and ``top_eigs`` runs LAPACK's ``dsyevr`` over the top indices;
+``dual_objective``, which needs lambda_max alone (the invariant probes),
+asks ``dsyevr`` for that eigenvalue without its eigenvector, with the
+same bits.  Above it,
 ``A* y - C`` is assembled as a CSR matrix on a pattern built once per
 problem, and ``top_eigs`` runs Lanczos (``eigsh``).  That eigensolve is
 inexact: its top Ritz value is at most lambda_max, so F(z) can be low by
@@ -41,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linops import ConstraintMap, DimensionError, _eigh, symmetrize, top_eigs
+from .linops import ConstraintMap, DimensionError, _eigh, symmetrize, top_eigs, top_eigval
 from .sketch import SketchState
 
 # above this order the objective's eigensolve runs Lanczos on a CSR slack
@@ -111,7 +115,8 @@ class SdpProblem:
         ``_SPARSE_ABOVE_N``, the CSR matrix of ``_neg_slack_csr`` above it."""
         if self.n > _SPARSE_ABOVE_N:
             return self._neg_slack_csr(y)
-        return -self.A.slack(self.C, y)
+        D = self.A.slack(self.C, y)
+        return np.negative(D, out=D)     # in place: the slack is a fresh array
 
     def _neg_slack_csr(self, y):
         """``A* y - C`` as a CSR matrix, equal bit for bit to the dense
@@ -127,9 +132,20 @@ class SdpProblem:
 
 def dual_objective(prob, y, slack=None):
     """Penalized dual objective F(y); ``slack`` is ``prob.dual_slack(y)``
-    when the caller has already built it."""
-    F, _, _ = objective_with_spectrum(prob, y, 1, slack)
-    return F
+    when the caller has already built it.
+
+    Up to order ``_SPARSE_ABOVE_N`` lambda_max comes from an
+    eigenvalue-only dense solve (``top_eigval``), whose bits are those of
+    ``objective_with_spectrum(prob, y, 1)``'s; above it, F is that call's."""
+    if prob.n > _SPARSE_ABOVE_N:
+        return objective_with_spectrum(prob, y, 1, slack)[0]
+    D = prob.dual_slack(y) if slack is None else slack
+    return _penalized(prob, y, top_eigval(D))
+
+
+def _penalized(prob, y, lam):
+    """F(y) from the slack's top eigenvalue ``lam``."""
+    return -float(prob.b @ y) + prob.alpha * max(float(lam), 0.0)
 
 
 def objective_with_spectrum(prob, y, k, slack=None):
@@ -142,8 +158,7 @@ def objective_with_spectrum(prob, y, k, slack=None):
     ``prob.dual_slack(y)`` when the caller has already built it.
     """
     vals, vecs = top_eigs(prob.dual_slack(y) if slack is None else slack, k)
-    F = -float(prob.b @ y) + prob.alpha * max(float(vals[0]), 0.0)
-    return F, vals, vecs
+    return _penalized(prob, y, vals[0]), vals, vecs
 
 
 @dataclass(frozen=True, eq=False)

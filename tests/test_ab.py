@@ -61,6 +61,24 @@ def test_a_median_gap_inside_the_parent_iqr_makes_no_claim():
     assert not row["claim"]
 
 
+def test_per_pair_ratio_quartiles_are_reported_and_leave_the_claim_alone():
+    # the parent drifts from 3 s to 5 s across the pairs and the change
+    # runs 10% under its own pair's parent throughout
+    times = [3.0 + 0.2 * k for k in range(11)]
+    parent, change = _runs(times), _runs([0.9 * t for t in times])
+    row = _row(ab.summarize(METRICS, parent, change), "time_to_gap_s")
+    q1, med, q3 = row["ratio"]
+    assert q1 == pytest.approx(0.9) and med == pytest.approx(0.9) and q3 == pytest.approx(0.9)
+    assert row["won"] == 11 and not row["claim"]    # the median gap is inside the IQR
+    assert "ratio change/parent 0.9 [0.9, 0.9]" in ab.format_row(row)
+    # a zero parent value has no ratio; a pair that has one still counts
+    row = _row(ab.summarize(METRICS, _runs([0.0, 2.0, 4.0]), _runs([1.0, 1.0, 3.0])),
+               "time_to_gap_s")
+    assert row["pairs"] == 3 and row["ratio"][1] == pytest.approx((0.5 + 0.75) / 2)
+    row = _row(ab.summarize(METRICS, _runs([0.0]), _runs([1.0])), "time_to_gap_s")
+    assert row["ratio"] is None and "no pair has a nonzero" in ab.format_row(row)
+
+
 def test_ties_count_for_neither_side():
     row = _row(ab.summarize(METRICS, _runs([4.0] * 10), _runs([3.0] * 10)), "iters_to_gap")
     assert row["won"] == 0 and not row["claim"]

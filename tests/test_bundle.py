@@ -396,6 +396,17 @@ def test_subgradient_branches():
     assert g0[0] != -prob.b[0]  # returned a copy
 
 
+def test_subgradient_is_bitwise_the_congruence_form():
+    # the form subgradient_at replaced: the 1 x 1 congruence of v
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        prob = rand_problem(rng, n=7, m=int(rng.integers(1, 12)))
+        v = rng.normal(size=7)
+        v[rng.random(7) < 0.3] = -0.0
+        want = -prob.b + prob.alpha * prob.A.congruence(v)[:, 0, 0]
+        assert subgradient_at(prob, 1.5, v).tobytes() == want.tobytes()
+
+
 def test_stopping_metric_formula():
     rec = IterationRecord(t=1, F_y=0.0, F_z=0.0, Fbar_z=0.0, descent=True,
                           feas=0.3, lammin=-0.2, pval=1.0, dval=1.5,

@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from specbundle import ConstraintMap, DimensionError, RankError
-from specbundle.linops import orthonormalize, symmetrize, top_eigs
+from specbundle import ConstraintMap, DimensionError, RankError, linops
+from specbundle.linops import orthonormalize, symmetrize, top_eigs, top_eigval
 
 from conftest import dense_constraints, rand_sparse_map, symm
 
@@ -127,6 +127,56 @@ def test_congruence_matches_dense():
         assert np.abs(got - want).max() <= 1e-10 * (1.0 + np.abs(want).max())
 
 
+def test_congruence_is_bitwise_the_add_at_scatter():
+    # the form congruence replaced: np.add.at of each stored entry's p x p
+    # block into its constraint's slot
+    def oracle(amap, V):
+        Vr, Vc = V[amap.row], V[amap.col]
+        outer = Vr[:, :, None] * Vc[:, None, :]
+        sym = outer + outer.transpose(0, 2, 1)
+        diag = (amap.row == amap.col)[:, None, None]
+        contrib = np.where(diag, 0.5 * sym, sym) * amap.val[:, None, None]
+        T = np.zeros((amap.m, V.shape[1], V.shape[1]))
+        np.add.at(T, amap.idx, contrib)
+        return T
+
+    rng = np.random.default_rng(13)
+    for p in range(1, 9):
+        for _ in range(5):
+            # up to six entries a constraint, so each slot sums several
+            # terms; zero rows of V give signed-zero products
+            amap = rand_sparse_map(rng, 10, 40, max_nnz=6)
+            V = rng.normal(size=(10, p))
+            V[rng.random(10) < 0.2] = 0.0
+            V[rng.random(10) < 0.1] = -0.0
+            assert amap.congruence(V).tobytes() == oracle(amap, V).tobytes()
+
+
+def test_apply_outer_is_bitwise_apply_of_the_outer_product():
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        amap = rand_sparse_map(rng, 8, 30, max_nnz=5)
+        v = rng.normal(size=8)
+        v[rng.random(8) < 0.3] = -0.0
+        want = amap.apply(np.outer(v, v))
+        assert amap.apply_outer(v).tobytes() == want.tobytes()
+        assert amap.apply_outer(v).tobytes() == amap.congruence(v)[:, 0, 0].tobytes()
+    with pytest.raises(DimensionError):
+        amap.apply_outer(np.ones(7))
+
+
+def test_slack_is_bitwise_C_minus_the_adjoint():
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        amap = rand_sparse_map(rng, 6, 12)
+        C = rng.normal(size=(6, 6))
+        C[rng.random((6, 6)) < 0.3] = 0.0
+        C = symm(C)
+        y = rng.normal(size=12)
+        y[rng.random(12) < 0.3] = 0.0
+        assert amap.slack(C, y).tobytes() == (C - amap.adjoint(y)).tobytes()
+
+
 def test_map_construction_errors():
     with pytest.raises(ValueError):
         ConstraintMap.from_triples(3, [[(0, 1, 1.0), (1, 0, 2.0)]])  # duplicate
@@ -197,6 +247,59 @@ def test_top_eigs_errors():
     for rect in (np.zeros((2, 3)), scipy.sparse.csr_matrix((2, 3))):
         with pytest.raises(DimensionError):
             top_eigs(rect, 1)
+
+
+def _with_repeated_top(rng, n):
+    """Symmetric test matrices of order n: generic, with a repeated top
+    eigenvalue (rotated, then diagonal), and with +0.0 and -0.0 entries."""
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    lam = np.sort(rng.uniform(-1.0, 1.0, n))
+    lam[-(n + 1) // 2:] = lam[-1]
+    U = rng.normal(size=(n, n))
+    U[rng.random((n, n)) < 0.4] = 0.0
+    U[rng.random((n, n)) < 0.5] *= -1.0           # half the zeros turn -0.0
+    Z = np.where(np.tri(n, dtype=bool), U.T, U)   # mirrored, signs kept
+    return [symm(rng.normal(size=(n, n))), symm((Q * lam) @ Q.T),
+            np.diag(np.repeat(lam[-1], n)), Z]
+
+
+def test_dense_top_eigs_bitwise_equals_subset_eigh():
+    # the form the dense path replaced: scipy's subset eigh, then the
+    # descending order and the sign convention
+    rng = np.random.default_rng(16)
+    linops._syevr_work.cache_clear()
+    for n in range(1, 41):
+        for M in _with_repeated_top(rng, n)[:2 if n > 8 else 4]:
+            for r in range(1, n + 1):
+                w, v = scipy.linalg.eigh(M, subset_by_index=[n - r, n - 1])
+                order = np.argsort(w)[::-1]
+                vals, vecs = top_eigs(M, r)
+                assert vals.tobytes() == w[order].tobytes()
+                assert vecs.tobytes() == linops._fix_signs(v[:, order]).tobytes()
+
+
+def test_top_eigval_bitwise_equals_top_eigs():
+    rng = np.random.default_rng(17)
+    for n in [*range(1, 13), 40, 150]:
+        for M in _with_repeated_top(rng, n):
+            want = top_eigs(M, 1)[0][0].tobytes()
+            for A in (M, np.asfortranarray(M), np.repeat(M, 2, axis=1)[:, ::2]):
+                assert np.float64(top_eigval(A)).tobytes() == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_eigensolves_reject_non_finite_input(bad):
+    M = np.eye(4)
+    M[1, 2] = M[2, 1] = bad
+    for solve in (lambda: top_eigs(M, 2), lambda: top_eigval(M)):
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            solve()
+
+
+def test_top_eigval_errors():
+    for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(3)):
+        with pytest.raises(DimensionError):
+            top_eigval(bad)
 
 
 def test_top_eigs_sparse_matches_dense():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import specbundle.bundle as bundle
 import specbundle.model as model
 from specbundle import ConstraintMap, SdpProblem, SolverConfig, sketch_init
 from specbundle.bench import build_completion, build_maxcut, gen_completion, gen_er_graph
 from specbundle.bundle import init_state, step
-from specbundle.linops import EigsFallbackWarning, orthonormalize, top_eigs
+from specbundle.linops import EigsFallbackWarning, orthonormalize, top_eigs, top_eigval
 from specbundle.model import (Aggregate, dual_objective, model_value,
                               objective_with_spectrum, simple_model_value,
                               zero_aggregate)
@@ -61,6 +62,62 @@ def test_objective_with_spectrum_consistent():
     M = prob.A.adjoint(y) - prob.C
     full = np.sort(scipy.linalg.eigvalsh(M))[::-1]
     assert np.abs(vals - full[:3]).max() <= 1e-9 * (1 + np.abs(full).max())
+
+
+@pytest.mark.parametrize("prob", [
+    build_maxcut(gen_er_graph(40, 0.2, 0)),
+    build_completion(gen_completion(12, 2, 0.4, 0)),
+    rand_problem(np.random.default_rng(9), n=9, m=6),
+], ids=["maxcut", "completion", "random"])
+def test_dense_dual_slack_is_bitwise_the_negated_slack(prob):
+    # the form dual_slack replaced: the negation of a fresh C - A*(y)
+    rng = np.random.default_rng(10)
+    for y in (np.zeros(prob.m), rng.normal(size=prob.m),
+              np.where(rng.random(prob.m) < 0.4, 0.0, rng.normal(size=prob.m))):
+        want = -(prob.C - prob.A.adjoint(y))
+        assert prob.dual_slack(y).tobytes() == want.tobytes()
+
+
+def _probe_slacks(prob, cfg, steps):
+    """Slacks at the invariant check's probe points around the candidates
+    of the first ``steps`` steps of a solve, drawn as the check draws them."""
+    state = init_state(prob, cfg)
+    rng = np.random.default_rng(0)
+    for _ in range(steps):
+        state, _, _ = step(prob, cfg, state)
+        z = state.z
+        scale = 1.0 + float(np.linalg.norm(z))
+        for radius in bundle._PROBE_RADII:
+            d = rng.standard_normal(prob.m)
+            y = z + radius * scale * d / np.linalg.norm(d)
+            yield y, prob.dual_slack(y)
+
+
+def test_probe_objective_is_bitwise_the_spectrum_objective():
+    # completion-150-verified's instance and configuration, 30 probes
+    prob = build_completion(gen_completion(150, 3, 0.3, 0))
+    cfg = SolverConfig(variant="block", rbar=3, rho=5.0)
+    n = prob.n
+    for y, D in _probe_slacks(prob, cfg, 3):
+        # the forms the probe objective replaced: the objective of the
+        # top eigenpair, and scipy's subset eigh behind it
+        want = objective_with_spectrum(prob, y, 1, D)[0]
+        lam = scipy.linalg.eigh(D, subset_by_index=[n - 1, n - 1])[0][0]
+        assert np.float64(top_eigval(D)).tobytes() == lam.tobytes()
+        assert np.float64(dual_objective(prob, y, D)).tobytes() == np.float64(want).tobytes()
+        assert np.float64(dual_objective(prob, y)).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dual_objective_rejects_non_finite_input(bad):
+    prob = rand_problem(np.random.default_rng(11))
+    y = np.zeros(prob.m)
+    y[0] = bad
+    for call in (lambda: dual_objective(prob, y),
+                 lambda: objective_with_spectrum(prob, y, 2)):
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            call()
 
 
 def test_problem_validation():

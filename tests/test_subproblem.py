@@ -563,6 +563,23 @@ def test_face_ladder_bitwise_equals_per_face_construction():
                 assert gS.tobytes() == wS.tobytes()
 
 
+def test_rotated_stack_bitwise_equals_stacked_matmul():
+    # the form _face_polish replaced: 2m stacked p x p products
+    rng = np.random.default_rng(37)
+    for k in range(2000):
+        p = k % 8 + 1
+        m = int(rng.choice([1, 2, 7, 50, 200, 1000, 6600]))
+        A = rng.normal(size=(m, p, p))
+        T = A + A.transpose(0, 2, 1)
+        if k % 3 == 0:              # zero rows and columns, as sparse maps give
+            zero = rng.random(p) < 0.3
+            T[:, zero] = T[:, :, zero] = 0.0
+        lam, Q = linops._eigh(symm(rng.normal(size=(p, p))))
+        Qo = Q[:, np.argsort(lam)[::-1]]         # as _face_polish orders it
+        want = np.matmul(Qo.T, np.matmul(T, Qo))
+        assert subproblem._rotated(T, Qo).tobytes() == want.tobytes()
+
+
 def _hull_oracle(v):
     """The simplex-hull projection of one vector, as it was written before
     the projections took stacks."""

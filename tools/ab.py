@@ -10,11 +10,15 @@ change in even ones, so drift in the machine's load falls on both sides.
 
 For every end-to-end metric of ``BENCHMARK.json`` (its name, unit, the
 direction that is better and its regression bound) the summary gives each
-side's median and quartiles over the pairs, the pairs the change won (ties
-count for neither side), the parent's interquartile range, the change of
-the median against the bound, and whether a gain may be claimed: the
-change won at least nine tenths of the pairs, and its median is better
-than the parent's by more than the parent's interquartile range.
+side's median and quartiles over the pairs, the median and quartiles of
+the per-pair ratio change/parent (the two runs of a pair are adjacent in
+time, so load drift between pairs largely cancels in it), the pairs the
+change won (ties count for neither side), the parent's interquartile
+range, the change of the median against the bound, and whether a gain
+may be claimed: the change won at least nine tenths of the pairs, and its
+median is better than the parent's by more than the parent's
+interquartile range.  The ratio is reported only; the claim does not
+read it.
 
 Exits 1 when any run fails to report, reports ``failed > 0`` or reports
 ``correct: false``; otherwise 0, whether or not a claim holds.
@@ -84,13 +88,15 @@ def summarize(metrics, parent, change):
             rows.append({"name": name, "pairs": 0})
             continue
         pq, cq = quartiles([p for p, _ in pairs]), quartiles([c for _, c in pairs])
+        ratios = [c / p for p, c in pairs if p]
         won = sum(sign * (p - c) > 0 for p, c in pairs)
         iqr = pq[2] - pq[0]
         gain = sign * (pq[1] - cq[1])       # > 0 when the change's median is better
         worse = -gain / abs(pq[1]) if pq[1] else (0.0 if gain >= 0 else float("inf"))
         rows.append({
             "name": name, "unit": m["unit"], "better": m["better"], "pairs": len(pairs),
-            "parent": pq, "change": cq, "won": won, "parent_iqr": iqr,
+            "parent": pq, "change": cq, "ratio": quartiles(ratios) if ratios else None,
+            "won": won, "parent_iqr": iqr,
             "worse_rel": worse, "within_bound": worse <= m["bound"], "bound": m["bound"],
             "claim": 10 * won >= 9 * len(pairs) and gain > iqr,
         })
@@ -101,8 +107,11 @@ def format_row(row):
     if not row["pairs"]:
         return f"{row['name']}: no pair reports it"
     (p1, pm, p3), (c1, cm, c3) = row["parent"], row["change"]
+    ratio = ("no pair has a nonzero parent value" if row["ratio"] is None
+             else "{1:.4g} [{0:.4g}, {2:.4g}]".format(*row["ratio"]))
     return (f"{row['name']} ({row['unit']}, {row['better']} is better): "
             f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  change {cm:.6g} [{c1:.6g}, {c3:.6g}]  "
+            f"ratio change/parent {ratio}  "
             f"change won {row['won']}/{row['pairs']}  parent IQR {row['parent_iqr']:.6g}  "
             f"median {-100 * row['worse_rel']:+.1f}% better "
             f"({'within' if row['within_bound'] else 'BEYOND'} the {row['bound']:.0%} bound)  "

@@ -130,8 +130,8 @@ def build_maxcut(g, alpha=None):
     Every feasible X has trace exactly n, so the default penalty 2n is
     twice the nuclear norm of any solution.
     """
-    L = g.laplacian()
-    C = -L
+    C = g.laplacian()
+    np.negative(C, out=C)      # C = -L in the Laplacian's own buffer
     amap = ConstraintMap.from_triples(g.n, [[(i, i, 1.0)] for i in range(g.n)])
     b = np.ones(g.n)
     if alpha is None:

@@ -330,15 +330,18 @@ def _top_eigs_sparse(M, r):
     ``|theta1| <= |M|_2 <= |M|_F``, so its own stopping test implies the
     gate above up to roundoff; the gate still checks the true residual.
 
-    Why ``maxiter=(n // ncv)**2`` restarts (``ncv`` is eigsh's default basis
-    size, passed explicitly): one implicit restart makes up to ``ncv``
-    products with ``M``, orthogonalizes each new basis vector against up to
-    ``ncv`` others and rotates the n x ncv basis, O(n ncv^2) flops plus a
-    fixed cost per product, while the dense redo costs O(n^3).  So
-    ``(n / ncv)**2`` restarts cost a bounded multiple of the dense redo,
-    one that does not grow with n, and a call that fails to converge
-    wastes at most that much before it is redone.  eigsh's default of
-    ``10 n`` restarts bounds nothing of the kind: it is O(n^2 ncv^2) flops.
+    Why a budget of ``4 n`` products with ``M``, passed as ``maxiter=4 n //
+    (ncv - r)`` restarts (``ncv`` is eigsh's default basis size, passed
+    explicitly): a restart makes between ``(ncv - r) / 2`` and ``ncv - r``
+    products (it keeps ``r`` Ritz vectors, plus at most half the rest once
+    some converge).  A product costs O(nnz(M) + n ncv) flops plus a fixed
+    cost of ARPACK's Python reverse communication, the dense redo O(n^3), so
+    a call that cannot converge wastes a bounded multiple of the redo's
+    flops plus ``4 n`` fixed costs (at n = 401, 0.07 s with its redo, which
+    alone takes about 8 ms).  The budget is at least twice the most products
+    a converging benchmark call makes (1,751 at n = 1000, 364 at n = 450),
+    so by the lower bound every such call ends before the cap with its bits
+    unchanged (105 restarts at most, against a cap of 235).
     """
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, norm
 
@@ -360,7 +363,8 @@ def _top_eigs_sparse(M, r):
     ncv = min(n, max(2 * r + 1, 20))
     try:
         vals, vecs = eigsh(Product(M.dtype, M.shape), k=r, which="LA", tol=_EIGSH_RES_TOL,
-                           v0=gaussian_matrix(0, (n,)), ncv=ncv, maxiter=(n // ncv) ** 2)
+                           v0=gaussian_matrix(0, (n,)), ncv=ncv,
+                           maxiter=max(1, 4 * n // (ncv - r)))
     except ArpackNoConvergence as exc:
         why = f"ARPACK did not converge ({exc})"
     except ArpackError as exc:

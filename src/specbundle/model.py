@@ -58,6 +58,13 @@ class SdpProblem:
 
     alpha is the trace penalty; the dual objective below is exact once
     alpha >= 2 * ||X*||_nuclear for some primal solution X*.
+
+    The stored C is ``symmetrize(C)`` bit for bit.  A C-contiguous float64
+    C that it would leave unchanged (bitwise symmetric, every entry at
+    most half the largest double in magnitude, so no sum overflows) is
+    stored without a copy, as a float64 b is: the caller must not mutate
+    either afterwards.  Any other C must be symmetric to an absolute
+    tolerance of ``1e-12 * max(1, max |C_ij|)`` per entry.
     """
 
     C: np.ndarray
@@ -66,7 +73,7 @@ class SdpProblem:
     alpha: float
 
     def __post_init__(self):
-        C = np.asarray(self.C, dtype=float)
+        C = np.ascontiguousarray(self.C, dtype=float)
         b = np.asarray(self.b, dtype=float)
         if C.shape != (self.A.n, self.A.n):
             raise DimensionError(
@@ -74,11 +81,16 @@ class SdpProblem:
         if b.shape != (self.A.m,):
             raise DimensionError(
                 f"right-hand side shape {b.shape} does not match {self.A.m} constraints")
-        if not np.allclose(C, C.T, atol=1e-12 * max(1.0, np.abs(C).max())):
-            raise ValueError("cost matrix must be symmetric")
+        # a NaN fails the range test, and -0.0 against +0.0 the bitwise one
+        half = np.finfo(float).max / 2
+        if not (-half <= C.min() and C.max() <= half
+                and np.array_equal(C.view(np.int64), C.T.view(np.int64))):
+            if not np.allclose(C, C.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(C).max())):
+                raise ValueError("cost matrix must be symmetric")
+            C = symmetrize(C)
         if not (self.alpha > 0):
             raise ValueError(f"trace penalty must be positive, got {self.alpha}")
-        object.__setattr__(self, "C", symmetrize(C))
+        object.__setattr__(self, "C", C)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "alpha", float(self.alpha))
 

@@ -113,3 +113,19 @@ def test_failed_incorrect_and_unparsable_runs_count_as_failures():
     assert ab.parse_result("Traceback (most recent call last):\n  ...\n") is None
     assert ab.parse_result("") is None
     assert ab.run_failed(None)
+
+
+def test_each_run_line_shows_the_machine_state_of_its_env_line():
+    env = {"python": "3.11.7", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.29",
+           "blas_threads": {"libscipy_openblas64_.so": 1}, "nproc": 4, "cpus_allowed": 2,
+           "loadavg_before": [0.52, 0.61, 0.7], "loadavg_after": [1.1, 0.8, 0.75]}
+    stdout = _stdout(time_to_gap_s=3.5).replace("env {}", "env " + json.dumps(env))
+    shown = ab.parse_env(stdout)
+    assert shown == {k: env[k] for k in ("loadavg_before", "loadavg_after",
+                                         "blas_threads", "cpus_allowed")}
+    line = ab.run_line(3, "change", stdout)
+    assert line == ('pair 3 change: {"time_to_gap_s": 3.5} env ' + json.dumps(shown))
+    # a run without a readable env line shows none; a failed run is marked
+    assert ab.parse_env(_stdout(time_to_gap_s=3.5)) == {}
+    assert ab.parse_env("env {not json\n") == {} and ab.parse_env("") == {}
+    assert ab.run_line(1, "parent", "") == "pair 1 parent: {} env {} FAILED"

@@ -11,7 +11,8 @@ import specbundle.model as model
 from specbundle import ConstraintMap, SdpProblem, SolverConfig, sketch_init
 from specbundle.bench import build_completion, build_maxcut, gen_completion, gen_er_graph
 from specbundle.bundle import init_state, step
-from specbundle.linops import EigsFallbackWarning, orthonormalize, top_eigs, top_eigval
+from specbundle.linops import (EigsFallbackWarning, orthonormalize, symmetrize, top_eigs,
+                               top_eigval)
 from specbundle.model import (Aggregate, dual_objective, model_value,
                               objective_with_spectrum, simple_model_value,
                               zero_aggregate)
@@ -130,10 +131,44 @@ def test_problem_validation():
         SdpProblem(C=np.eye(3), A=amap, b=np.array([1.0]), alpha=1.0)
     with pytest.raises(Exception):
         SdpProblem(C=np.eye(2), A=amap, b=np.array([1.0, 2.0]), alpha=1.0)
-    # mildly asymmetric C is symmetrized, grossly asymmetric is rejected
-    C = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        SdpProblem(C=C, A=amap, b=np.array([1.0]), alpha=1.0)
+    # an asymmetry at roundoff level is symmetrized; the tolerance is
+    # absolute, 1e-12 * max(1, max |C_ij|), so 5e-6 is refused like a
+    # gross asymmetry, and so is a NaN
+    C = np.array([[1.0, np.nextafter(1.0, 2.0)], [1.0, 1.0]])
+    stored = SdpProblem(C=C, A=amap, b=np.array([1.0]), alpha=1.0).C
+    assert stored.tobytes() == symmetrize(C).tobytes() and stored[0, 1] != C[0, 1]
+    for bad in ([[1.0, 1.0 + 5e-6], [1.0, 1.0]], [[1.0, 2.0], [0.0, 1.0]],
+                [[1.0, np.nan], [np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="must be symmetric"):
+            SdpProblem(C=np.array(bad), A=amap, b=np.array([1.0]), alpha=1.0)
+
+
+def test_cost_is_stored_as_symmetrize_leaves_it():
+    amap = ConstraintMap.from_triples(3, [[(0, 0, 1.0)]])
+    b = np.array([1.0])
+    tiny, half = 5e-324, np.finfo(float).max / 2
+    # exactly symmetric, with signed zeros, subnormals and the largest
+    # entries whose doubling stays finite: stored as given, no copy
+    C = np.array([[-0.0, tiny, -half], [tiny, 0.0, -tiny], [-half, -tiny, half]])
+    prob = SdpProblem(C=C, A=amap, b=b, alpha=1.0)
+    assert prob.C is C and C.tobytes() == symmetrize(C).tobytes()
+    # equal as numbers but not as bits (+0.0 against -0.0), or an entry
+    # above half the largest double: stored as symmetrize(C), +0.0 in both
+    # places and inf where the doubling overflows
+    with np.errstate(over="ignore"):
+        for i, j, v in ((0, 1, -0.0), (2, 1, -0.0), (2, 2, np.nextafter(half, np.inf)),
+                        (0, 0, -np.finfo(float).max)):
+            D = np.zeros((3, 3))
+            D[i, j] = v
+            prob = SdpProblem(C=D, A=amap, b=b, alpha=1.0)
+            assert prob.C is not D and prob.C.tobytes() == symmetrize(D).tobytes()
+        assert prob.C[0, 0] == -np.inf
+    assert np.signbit(SdpProblem(C=-np.zeros((3, 3)), A=amap, b=b, alpha=1.0).C).all()
+    # other layouts and dtypes are copied to a C-contiguous float64 array
+    E = np.asfortranarray(np.arange(9.0).reshape(3, 3) + np.arange(9.0).reshape(3, 3).T)
+    for given in (E, E.astype(np.float32), E.astype(int)):
+        stored = SdpProblem(C=given, A=amap, b=b, alpha=1.0).C
+        assert stored.flags.c_contiguous and stored.tobytes() == symmetrize(E).tobytes()
 
 
 # -- sparse slack and Lanczos eigensolve -----------------------------------

@@ -20,6 +20,10 @@ median is better than the parent's by more than the parent's
 interquartile range.  The ratio is reported only; the claim does not
 read it.
 
+Each run prints one line as it ends: its metrics, then the machine state
+from the run's ``env`` line (load averages before and after it, BLAS
+threads per library, CPUs it may run on), so a claim can quote the load.
+
 Exits 1 when any run fails to report, reports ``failed > 0`` or reports
 ``correct: false``; otherwise 0, whether or not a claim holds.
 """
@@ -34,17 +38,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# the fields of a run's ``env`` line that describe the machine's state
+ENV_SHOWN = ("loadavg_before", "loadavg_after", "blas_threads", "cpus_allowed")
+
+
 def run_once(cmd, checkout, workload, seed, seconds):
-    """The JSON object of one run of the benchmark command ``cmd`` in
-    ``checkout``, or ``None`` when it exits non-zero or its last line is
-    not one."""
+    """The output of one run of the benchmark command ``cmd`` in
+    ``checkout``, or ``""`` when it exits non-zero."""
     out = subprocess.run(cmd + ["--workload", workload, "--seed", str(seed),
                                 "--seconds", str(seconds), "--trace", "0"],
                          cwd=checkout, capture_output=True, text=True, check=False)
     if out.returncode != 0:
         sys.stderr.write(out.stderr[-2000:])
-        return None
-    return parse_result(out.stdout)
+        return ""
+    return out.stdout
 
 
 def parse_result(stdout):
@@ -55,6 +62,28 @@ def parse_result(stdout):
     except (IndexError, json.JSONDecodeError):
         return None
     return result if isinstance(result, dict) else None
+
+
+def parse_env(stdout):
+    """The ``ENV_SHOWN`` fields of the run's ``env`` line that it has, or
+    ``{}`` when it printed no such line that parses."""
+    for line in stdout.splitlines():
+        if line.startswith("env "):
+            try:
+                env = json.loads(line[4:])
+            except json.JSONDecodeError:
+                return {}
+            return {k: env[k] for k in ENV_SHOWN if k in env} if isinstance(env, dict) else {}
+    return {}
+
+
+def run_line(k, side, stdout):
+    """The line printed for one run: its metrics, its machine state and,
+    when it failed, a mark."""
+    result = parse_result(stdout)
+    shown = {n: v["value"] for n, v in (result or {}).get("metrics", {}).items()}
+    return (f"pair {k} {side}: {json.dumps(shown)} env {json.dumps(parse_env(stdout))}"
+            + (" FAILED" if run_failed(result) else ""))
 
 
 def run_failed(result):
@@ -134,12 +163,10 @@ def main(argv=None):
     for k in range(1, args.pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
-            result = run_once(bench["command"], getattr(args, side), args.workload, k,
+            stdout = run_once(bench["command"], getattr(args, side), args.workload, k,
                               args.seconds)
-            runs[side].append(result)
-            shown = {n: v["value"] for n, v in (result or {}).get("metrics", {}).items()}
-            print(f"pair {k} {side}: {json.dumps(shown)}"
-                  + (" FAILED" if run_failed(result) else ""), flush=True)
+            runs[side].append(parse_result(stdout))
+            print(run_line(k, side, stdout), flush=True)
 
     for row in summarize(bench["end_to_end"], runs["parent"], runs["change"]):
         print(format_row(row))

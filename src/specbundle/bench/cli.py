@@ -22,11 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -137,10 +135,14 @@ def _set_up(args):
     return prob, label, refs
 
 
-def _record(prob, cfg, result, refs, label, trace=None, summary=None, **extra):
-    """Score a finished run against ``refs`` on its last iteration (the
-    trace's tail), write its trace and summary (with ``extra`` keys) to the
-    paths given, and return the metrics, or None without references."""
+def _solve_and_record(prob, cfg, refs, label, trace=None, summary=None):
+    """Solve ``prob`` under ``cfg``, score the run against ``refs`` on its
+    last iteration (the trace's tail), and write its trace and summary to
+    the paths given; returns the result, its wall time and the metrics
+    (None without references)."""
+    t0 = time.perf_counter()
+    result = run(prob, cfg)
+    elapsed = time.perf_counter() - t0
     metrics = None
     if refs is not None:
         rec = result.records[-1]
@@ -149,11 +151,10 @@ def _record(prob, cfg, result, refs, label, trace=None, summary=None, **extra):
     if trace:
         write_trace(trace, result.records, cfg.rbar)
     if summary:
-        write_summary(summary, {**summary_dict(cfg, result, refs=refs, metrics=metrics,
-                                               problem_label=label,
-                                               alpha_effective=prob.alpha),
-                                **extra})
-    return metrics
+        write_summary(summary, summary_dict(cfg, result, refs=refs, metrics=metrics,
+                                            problem_label=label,
+                                            alpha_effective=prob.alpha))
+    return result, elapsed, metrics
 
 
 def _add_instance_flags(p):
@@ -181,10 +182,12 @@ def _add_solver_flags(p):
 
 
 def cmd_solve(args):
+    if args.save_ref and args.ref is None and not args.auto_ref:
+        raise ValueError("--save-ref needs --ref or --auto-ref")
     cfg = _config_from_args(args, args.variant, args.rbar)
     prob, label, refs = _set_up(args)
-    result, elapsed, _ = _timed_run((prob, cfg))
-    metrics = _record(prob, cfg, result, refs, label, args.trace, args.summary)
+    result, elapsed, metrics = _solve_and_record(prob, cfg, refs, label,
+                                                 args.trace, args.summary)
     print(f"{label}: n={prob.n} m={prob.m} alpha={prob.alpha:g}")
     print(f"{cfg.variant} rbar={cfg.rbar}: {result.stats.iterations} iterations "
           f"({result.stats.descent_steps} descent), stop: {result.stats.stop_reason}, "
@@ -199,7 +202,7 @@ def cmd_solve(args):
         print(f"trace written to {args.trace}")
     if args.summary:
         print(f"summary written to {args.summary}")
-    if args.save_ref and refs is not None:
+    if args.save_ref:
         with open(args.save_ref, "w") as fh:
             json.dump(refs.to_dict(), fh, indent=2)
             fh.write("\n")
@@ -223,23 +226,6 @@ def cmd_verify(args):
     return 0 if rep.passed else 1
 
 
-# BLAS thread settings that sweep workers start with: parallel workers that
-# each run a multi-threaded BLAS oversubscribe the cores (a dense n=1000
-# eigensolve went from 57 ms to 3.9 s beside one more BLAS-heavy process on
-# two cores), and the thread count also changes the solver's trajectory
-_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-
-
-def _timed_run(job):
-    """Run ``job = (problem, config)``; returns the result, its wall time
-    and the BLAS thread setting it ran under."""
-    prob, cfg = job
-    t0 = time.perf_counter()
-    result = run(prob, cfg)
-    return (result, time.perf_counter() - t0,
-            os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
-
-
 def cmd_sweep(args):
     rbars = []
     for tok in args.rbar.split(","):
@@ -247,65 +233,38 @@ def cmd_sweep(args):
             rbars.append(int(tok))
         except ValueError:
             raise ValueError(f"--rbar takes a comma-separated list of sizes, got {tok!r}") from None
-    if args.jobs < 1:
-        raise ValueError(f"--jobs takes a positive worker count, got {args.jobs}")
     cfgs = [_config_from_args(args, variant, rbar)
             for variant in args.variants.split(",") for rbar in rbars]
+    prob, label, refs = _set_up(args)
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-    prob, label, refs = _set_up(args)
-
-    jobs = [(prob, cfg) for cfg in cfgs]
-    if args.jobs > 1:
-        # workers are spawned with _WORKER_ENV, set here only while they
-        # start, since BLAS reads it once, when numpy loads
-        saved = {k: os.environ.get(k) for k in _WORKER_ENV}
-        os.environ.update(_WORKER_ENV)
-        try:
-            with ProcessPoolExecutor(max_workers=args.jobs,
-                                     mp_context=multiprocessing.get_context("spawn")) as pool:
-                outcomes = list(pool.map(_timed_run, jobs))
-        finally:
-            for k, v in saved.items():
-                if v is None:
-                    del os.environ[k]
-                else:
-                    os.environ[k] = v
-    else:
-        outcomes = [_timed_run(job) for job in jobs]
-    threads = ",".join(sorted({t for _, _, t in outcomes}))
 
     print(f"{label}: n={prob.n} m={prob.m} alpha={prob.alpha:g}")
-    print(f"jobs: {args.jobs}, BLAS threads per job: {threads}")
     header = (f"{'variant':<8} {'rbar':>4} {'iters':>5} {'descent':>7} "
               f"{'dual opt.':>11} {'primal opt.':>11} {'primal feas.':>12} {'time (s)':>9}")
     print(header)
     print("-" * len(header))
-    for cfg, (result, elapsed, _) in zip(cfgs, outcomes):
+    for cfg in cfgs:
         trace = summary = None
         if args.out_dir:
             stem = f"{args.out_dir}/{args.problem}_{cfg.variant}_r{cfg.rbar}"
             trace, summary = stem + ".csv", stem + ".json"
-        metrics = _record(prob, cfg, result, refs, label, trace, summary,
-                          blas_threads=threads)
+        result, elapsed, metrics = _solve_and_record(prob, cfg, refs, label, trace, summary)
         if metrics is not None:
             cells = (f"{metrics['dual_opt']:>11.3e} {metrics['primal_opt']:>11.3e} "
                      f"{metrics['primal_feas']:>12.3e}")
         else:
             cells = f"{'-':>11} {'-':>11} {'-':>12}"
         print(f"{cfg.variant:<8} {cfg.rbar:>4} {result.stats.iterations:>5} "
-              f"{result.stats.descent_steps:>7} {cells} {elapsed:>9.2f}")
+              f"{result.stats.descent_steps:>7} {cells} {elapsed:>9.2f}", flush=True)
     return 0
 
 
 def cmd_plotdata(args):
+    if (args.ref is None) == (args.d_star is None):
+        raise ValueError("pass exactly one of --ref or --d-star for the gap denominator")
+    d_star = args.d_star if args.ref is None else load_references(args.ref).d_star
     records, _ = read_trace(args.trace)
-    if args.ref is not None:
-        d_star = load_references(args.ref).d_star
-    elif args.d_star is not None:
-        d_star = args.d_star
-    else:
-        raise ValueError("pass --ref or --d-star for the gap denominator")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(out)
@@ -352,8 +311,6 @@ def build_parser():
                    help="comma-separated variants to sweep")
     _add_solver_flags(p)
     p.add_argument("--out-dir", help="write one trace and summary per run here")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (spawned, one BLAS thread each)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plotdata", help="emit t,rel_gap rows from a trace")

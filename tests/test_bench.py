@@ -3,7 +3,6 @@ checks, and the command-line front end."""
 
 import csv
 import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -625,24 +624,6 @@ def test_cli_sweep_writes_tables_and_files(tmp_path, capsys):
             assert (out_dir / f"maxcut_{variant}_r{rbar}.json").exists()
 
 
-def test_cli_sweep_parallel_workers_run_one_blas_thread(tmp_path, capsys):
-    blas_env = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    before = {k: os.environ.get(k) for k in blas_env}
-    out_dir = tmp_path / "runs"
-    rc = main(["sweep", "--problem", "maxcut", "--gen", "triangle",
-               "--rbar", "1,2", "--variants", "block", "--jobs", "2",
-               "--max-iters", "8", "--auto-ref", "--out-dir", str(out_dir)])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "jobs: 2, BLAS threads per job: 1" in out
-    rows = [line.split() for line in out.splitlines() if line.startswith("block ")]
-    assert [row[1] for row in rows] == ["1", "2"]
-    for rbar in (1, 2):
-        assert read_summary(str(out_dir / f"maxcut_block_r{rbar}.json"))["blas_threads"] == "1"
-    # the workers' settings do not stay in this process's environment
-    assert {k: os.environ.get(k) for k in blas_env} == before
-
-
 def test_cli_sweep_creates_missing_out_dir(tmp_path, capsys):
     out_dir = tmp_path / "not" / "yet"
     rc = main(["sweep", "--problem", "maxcut", "--gen", "triangle",
@@ -651,6 +632,29 @@ def test_cli_sweep_creates_missing_out_dir(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     assert (out_dir / "maxcut_block_r1.csv").exists()
+
+
+def test_cli_sweep_bad_instance_leaves_no_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    rc = main(["sweep", "--problem", "maxcut", "--gen", "ring", "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_sweep_run_matches_solve_bytes(tmp_path, capsys):
+    # sweep and solve share one solve-and-record step, so a sweep of one
+    # configuration writes the files that solve writes for it
+    flags = ["--problem", "maxcut", "--gen", "er,n=30,p=0.2,seed=0", "--rbar", "3",
+             "--max-iters", "60", "--inner-max-iter", "60",
+             "--auto-ref", "--check-invariants"]
+    trace, summary = tmp_path / "solve.csv", tmp_path / "solve.json"
+    assert main(["solve", *flags, "--variant", "hr",
+                 "--trace", str(trace), "--summary", str(summary)]) == 0
+    assert main(["sweep", *flags, "--variants", "hr", "--out-dir", str(tmp_path / "sweep")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "sweep" / "maxcut_hr_r3.csv").read_bytes() == trace.read_bytes()
+    assert (tmp_path / "sweep" / "maxcut_hr_r3.json").read_bytes() == summary.read_bytes()
 
 
 def test_cli_plotdata_rows(tmp_path, capsys):
@@ -680,7 +684,8 @@ def test_cli_plotdata_rows(tmp_path, capsys):
     ["solve", "--problem", "maxcut", "--gen", "triangle", "--sketch", "tiny"],
     ["solve", "--problem", "maxcut", "--input", "/nonexistent/file.txt"],
     ["plotdata", "--trace", "/nonexistent/trace.csv", "--d-star", "1.0"],
-    ["sweep", "--problem", "maxcut", "--gen", "triangle", "--jobs", "0"],
+    ["solve", "--problem", "maxcut", "--gen", "triangle", "--save-ref", "ref.json"],
+    ["plotdata", "--trace", "t.csv", "--ref", "ref.json", "--d-star", "1.0"],
 ])
 def test_cli_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2
@@ -793,6 +798,12 @@ def test_cli_plotdata_ref_not_an_object_exits_two(tmp_path, capsys):
 def test_cli_plotdata_needs_some_reference(tmp_path, capsys):
     rc, trace, _ = _solve_triangle(tmp_path)
     rc = main(["plotdata", "--trace", str(trace)])
+    assert rc == 2
+    assert "--ref or --d-star" in capsys.readouterr().err
+    # both flags name two gap denominators, and neither wins silently
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"d_star": 9.0}))
+    rc = main(["plotdata", "--trace", str(trace), "--ref", str(ref), "--d-star", "1.0"])
     assert rc == 2
     assert "--ref or --d-star" in capsys.readouterr().err
 

@@ -31,7 +31,7 @@ alone, on the same max-cut graph (n=30) and completion instance (d=8),
 each with ``max_iters=60`` and ``inner_max_iter=60``, and writes under
 ``OUTDIR/cli/``: ``<problem>.csv|json`` and ``<problem>-ref.json`` from a
 block ``solve --rbar 3 --auto-ref --check-invariants --trace --summary
---save-ref``; ``<problem>-sweep/`` from a serial ``sweep --variants
+--save-ref``; ``<problem>-sweep/`` from a ``sweep --variants
 block,hr --rbar 1,3 --ref <problem>-ref.json --check-invariants
 --out-dir``; and ``<problem>-gap.csv`` from ``plotdata --ref`` on the
 solve's trace.  The commands' printed output, which holds wall times, is

@@ -1,20 +1,7 @@
-"""Command-line front end.
-
-Four subcommands:
-
-* ``solve``: build one instance, run the bundle solver, write the
-  per-iteration trace and a JSON summary, print final metrics.
-* ``verify``: re-check a finished run, with its own settings, against the
-  structural guarantees (descent-step bounds, recorded dominance/membership
-  slacks, spectral accuracy sampling); nonzero exit when any check fails.
-* ``sweep``: run a comma-separated list of bundle sizes over one
-  instance and print an accuracy table, one row per (variant, size).
-* ``plotdata``: reduce a trace to ``t, rel_gap`` rows, the relative
-  distance of the reference objective from the optimum.
-
-Instances come either from files (``--input``) or generators
-(``--gen``): ``triangle`` or ``er,n=..,p=..,seed=..`` for max-cut,
-``d=..,rank=..,pobs=..,seed=..`` for completion.
+"""Command-line front end: ``solve``, ``verify``, ``sweep`` and ``plotdata``,
+each described by ``build_parser``.  ``verify`` re-checks a finished run,
+with its own settings, against ``verify_run`` and exits 1 when a check
+fails; every command exits 2 on bad flags or input.
 """
 
 from __future__ import annotations
@@ -68,10 +55,9 @@ def make_instance(problem, gen, input_path):
         head, _, rest = gen.partition(",")
         if head != "er":
             raise ValueError(f"unknown max-cut generator {gen!r}; use 'triangle' or 'er,...'")
-        kv = {"n": 100, "p": 0.1, "seed": 0, "weight": 1.0}
-        kv.update(_parse_kv(rest, {"n": int, "p": float, "seed": int,
-                                   "weight": float}, "er"))
-        g = gen_er_graph(kv["n"], kv["p"], kv["seed"], weight=kv["weight"])
+        kv = {"n": 100, "p": 0.1, "seed": 0}
+        kv.update(_parse_kv(rest, {"n": int, "p": float, "seed": int}, "er"))
+        g = gen_er_graph(kv["n"], kv["p"], kv["seed"])
         return g, f"maxcut er n={kv['n']} p={kv['p']} seed={kv['seed']}"
     if input_path is not None:
         return read_observations(input_path), f"completion {input_path}"

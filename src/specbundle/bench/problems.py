@@ -76,13 +76,12 @@ def triangle_graph():
     return GraphInstance(n=3, edges=np.array([[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]))
 
 
-def gen_er_graph(n, p, seed, weight=1.0):
-    """Erdos-Renyi G(n, p) with constant edge weight."""
+def gen_er_graph(n, p, seed):
+    """Erdos-Renyi G(n, p) with unit edge weights."""
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
-    edges = np.column_stack([iu[mask], ju[mask],
-                             np.full(int(mask.sum()), float(weight))])
+    edges = np.column_stack([iu[mask], ju[mask], np.ones(int(mask.sum()))])
     if edges.shape[0] == 0:
         raise ValueError(f"G({n}, {p}) draw came out empty; pick a denser graph")
     return GraphInstance(n=n, edges=edges)

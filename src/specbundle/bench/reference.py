@@ -13,6 +13,7 @@ Two sources, recorded with provenance:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -43,8 +44,9 @@ class ReferenceValues:
     @classmethod
     def from_dict(cls, d):
         """Inverse of ``to_dict``; unknown keys are ignored.  Raises
-        ValueError when ``d`` is not a mapping, lacks a field or holds a
-        field of the wrong type (booleans are not numbers here)."""
+        ValueError when ``d`` is not a mapping, lacks a field, holds a field
+        of the wrong type (booleans are not numbers here), a non-finite
+        ``d_star``, ``p_star`` or ``nuc``, or a ``nuc`` that is not positive."""
         if not isinstance(d, dict):
             raise ValueError(f"reference values must be a JSON object, "
                              f"got {type(d).__name__}")
@@ -54,6 +56,11 @@ class ReferenceValues:
             raise ValueError(f"reference values lack {', '.join(missing)}")
         for name, kind in _FIELD_TYPES.items():
             typed(d[name], kind, f"reference value {name}")
+        for name in ("d_star", "p_star", "nuc"):
+            if not math.isfinite(d[name]):
+                raise ValueError(f"reference value {name} must be finite, got {d[name]}")
+        if d["nuc"] <= 0:
+            raise ValueError(f"reference value nuc must be positive, got {d['nuc']}")
         return cls(**{n: d[n] for n in names})
 
 

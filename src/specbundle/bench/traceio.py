@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -109,20 +110,24 @@ def write_summary(path, summary):
 def read_summary(path):
     """The summary written by ``write_summary``.  Raises ValueError, naming
     the field, unless the file holds a JSON object with the fields verify
-    reads: numeric ``config.rho``, ``config.beta``, ``alpha_effective`` (the
-    penalty verify checks the run against) and ``max_norm_y``, and
-    optionally an ``invariants`` object holding every ``InvariantReport``
-    field."""
+    reads: ``config.rho > 0``, ``config.beta`` in (0, 1), a positive finite
+    ``alpha_effective`` (the penalty verify checks the run against) and a
+    nonnegative finite ``max_norm_y``, and optionally an ``invariants``
+    object holding every ``InvariantReport`` field."""
     with open(path) as fh:
         summary = json.load(fh)
     if not isinstance(summary, dict):
         raise ValueError(f"{path}: summary must be a JSON object, "
                          f"got {type(summary).__name__}")
     conf = _field(path, summary, "config", OBJECT)
-    for key in ("rho", "beta"):
-        _field(path, conf, key, NUMBER, prefix="config.")
-    for key in ("alpha_effective", "max_norm_y"):
-        _field(path, summary, key, NUMBER)
+    rho, beta = (_field(path, conf, k, NUMBER, prefix="config.") for k in ("rho", "beta"))
+    alpha, norm_y = (_field(path, summary, k, NUMBER) for k in ("alpha_effective", "max_norm_y"))
+    for name, v, ok, want in (("config.rho", rho, rho > 0, "> 0"),
+                              ("config.beta", beta, 0 < beta < 1, "in (0, 1)"),
+                              ("alpha_effective", alpha, 0 < alpha < math.inf, "finite and > 0"),
+                              ("max_norm_y", norm_y, 0 <= norm_y < math.inf, "finite and >= 0")):
+        if not ok:
+            raise ValueError(f"{path}: summary field {name} must be {want}, got {v!r}")
     inv = _field(path, summary, "invariants", OBJECT, required=False)
     if inv is not None:
         for f in fields(InvariantReport):

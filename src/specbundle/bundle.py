@@ -29,7 +29,8 @@ compared only by ``_record_distance``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,6 +68,13 @@ class SolverConfig:
     check_invariants: bool = False
 
     def validate(self):
+        sizes = ("rbar", "max_iters", "inner_max_iter", "seed")
+        for name in sizes + (("sketch_rank",) if self.sketch_rank is not None else ()):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {_VARIANTS}")
         if not (0.0 < self.beta < 1.0):
@@ -275,13 +283,7 @@ class InvariantReport:
     membership_feas: float = 0.0
 
     def as_dict(self):
-        return {
-            "checked": self.checked,
-            "simple_minus_model": float(self.simple_minus_model),
-            "model_minus_f": float(self.model_minus_f),
-            "membership_err": float(self.membership_err),
-            "membership_feas": float(self.membership_feas),
-        }
+        return asdict(self)
 
 
 _PROBE_RADII = (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 0.02, 0.5, 2.0)

@@ -1,20 +1,6 @@
-"""Symmetric-matrix utilities and the sparse constraint map.
-
-Everything downstream (objective evaluation, subproblem solves, bundle
-updates) reduces to a handful of primitives collected here:
-
-* applying the constraint map ``X -> (<A_1,X>, ..., <A_m,X>)`` (also to
-  a rank-one ``v v^T`` without forming it) and its adjoint
-  ``y -> sum_i y_i A_i``, each one ``np.bincount`` scatter,
-* compressing the map through a tall orthonormal basis,
-* partial symmetric eigensolves with a deterministic sign convention
-  (one direct LAPACK ``dsyevr`` call over an index range on a dense
-  matrix, or ARPACK's Lanczos ``eigsh`` on a ``scipy.sparse`` matrix,
-  checked by its residual and redone densely when it fails), the top
-  eigenvalue alone from an eigenvalue-only ``dsyevr`` call, and a full
-  eigensolve; the dense ones are bitwise equal to ``scipy.linalg.eigh``
-  on the same request,
-* rank-revealing orthonormalization.
+"""Symmetric-matrix utilities and the sparse constraint map: the
+primitives that objective evaluation, subproblem solves and bundle updates
+reduce to.
 
 Constraint matrices are sparse symmetric and stored as coordinate triples
 over the upper triangle only; dense matrices are plain float64 ndarrays
@@ -43,21 +29,16 @@ class RankError(ValueError):
 
 
 class EigsFallbackWarning(RuntimeWarning):
-    """A Lanczos eigensolve failed its residual check, or ARPACK failed or
-    did not converge, and the solve was redone densely."""
+    """A Lanczos eigensolve was redone densely (see ``_top_eigs_sparse``)."""
 
 
-# a Lanczos result is kept when its top Ritz pair (theta, v) satisfies
-# |M v - theta v| <= _EIGSH_RES_TOL * max(1, |M|_F)
+# the residual gate of ``_top_eigs_sparse``
 _EIGSH_RES_TOL = 1e-10
 
 
 def symmetrize(M):
-    """Exact symmetric part 0.5*(M + M.T).
-
-    Floating-point addition commutes, so the result is bitwise symmetric;
-    symmetric input passes through unchanged up to that identity.
-    """
+    """Exact symmetric part 0.5*(M + M.T), bitwise symmetric since
+    floating-point addition commutes."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {M.shape}")
@@ -196,10 +177,8 @@ class ConstraintMap:
     # -- compression ---------------------------------------------------
 
     def congruence(self, V):
-        """Stack of compressed constraints V^T A_k V, shape (m, p, p).
-
-        Cost scales with nnz * p^2, never with n^2.
-        """
+        """Stack of compressed constraints V^T A_k V, shape (m, p, p), at a
+        cost that scales with nnz * p^2, never with n^2."""
         V = np.asarray(V, dtype=float)
         if V.ndim == 1:
             V = V[:, None]
@@ -252,13 +231,11 @@ def _syevr(A):
 
 def _syevr_top(A, r, compute_v):
     """The top ``r`` eigenvalues of a square float64 matrix, ascending, and
-    with ``compute_v`` their eigenvectors:
-    ``scipy.linalg.eigh(A, subset_by_index=[n - r, n - 1])`` bit for bit
-    (dsyevr over an index range, lower triangle, its workspace sizes).
-
-    ``compute_v=0`` is dsyevr's jobz='N'.  For ``r < n`` it takes the same
-    path as with vectors, tridiagonal reduction then bisection (dstebz), so
-    the values keep their bits; only the eigenvector solves are skipped."""
+    with ``compute_v`` their eigenvectors: ``scipy.linalg.eigh(A,
+    subset_by_index=[n - r, n - 1])`` bit for bit (dsyevr over an index
+    range, lower triangle, its workspace sizes).  ``compute_v=0`` (jobz='N')
+    with ``r < n`` takes the same tridiagonal reduction and bisection
+    (dstebz), so the values keep their bits."""
     if not np.isfinite(A).all():
         raise ValueError("array must not contain infs or NaNs")
     n = A.shape[0]
@@ -280,18 +257,11 @@ def top_eigval(M):
 
 
 def top_eigs(M, r):
-    """Top ``r`` eigenpairs of a symmetric matrix, descending.
-
-    Returns ``(vals, vecs)`` with ``vals[0] >= vals[1] >= ...`` and
-    orthonormal columns in ``vecs``.  Each eigenvector is sign-normalized
-    so its first clearly-nonzero coordinate is positive.
-
-    A dense matrix goes to one direct dsyevr call over the top ``r``
-    indices, bit for bit what ``scipy.linalg.eigh(M, subset_by_index=[n - r,
-    n - 1])`` gives, without the wrapper's per-call workspace query; a
-    non-finite entry raises eigh's ``ValueError``.  A ``scipy.sparse``
-    matrix goes to ``_top_eigs_sparse`` (Lanczos, inexact; see there).
-    """
+    """Top ``r`` eigenpairs ``(vals, vecs)`` of a symmetric matrix: values
+    descending, orthonormal eigenvectors, each with its first clearly-nonzero
+    coordinate positive.  A dense matrix goes to ``_syevr_top`` (exact; its
+    bits are stated there), a ``scipy.sparse`` one to ``_top_eigs_sparse``
+    (Lanczos, inexact; see there)."""
     # a sparse matrix exists only once scipy.sparse is loaded, so the
     # dense path never imports it
     sparse = sys.modules.get("scipy.sparse")
@@ -311,37 +281,25 @@ def top_eigs(M, r):
 
 def _top_eigs_sparse(M, r):
     """``top_eigs`` of a sparse symmetric matrix by ARPACK's ``eigsh``
-    (``which="LA"``, ``tol=_EIGSH_RES_TOL``), always started from the fixed
-    vector ``gaussian_matrix(0, (n,))``: ARPACK's own random start gives
-    different bits on repeated calls.
+    (``which="LA"``), always started from ``gaussian_matrix(0, (n,))``, since
+    ARPACK's own random start gives different bits on repeated calls.
 
     Inexactness: the top Ritz value theta1 is at most lambda_max, so an
     objective ``alpha * max(theta1, 0)`` can be low by up to
     ``alpha * |M v1 - theta1 v1|`` (the residual bounds the distance to
     some eigenvalue; Lanczos from a generic start finds the extreme one).
     That residual is computed on return; when it exceeds
-    ``_EIGSH_RES_TOL * max(1, |M|_F)``, or ARPACK fails (does not converge,
-    or stops on an error such as a start vector that ``M`` maps to zero),
-    the solve is redone densely with an ``EigsFallbackWarning``.  ``r == n``,
-    which ``eigsh`` cannot do, goes dense without one.
+    ``_EIGSH_RES_TOL * max(1, |M|_F)``, or ARPACK fails or does not
+    converge, the solve is redone densely with an ``EigsFallbackWarning``.
+    ``r == n``, which ``eigsh`` cannot do, goes dense without one.
 
-    Why ``tol=_EIGSH_RES_TOL``: ARPACK accepts a Ritz pair once its residual
-    estimate is at most ``tol * max(eps**(2/3), |theta|)``, and
+    ARPACK runs at ``tol=_EIGSH_RES_TOL``: it accepts a Ritz pair once its
+    residual estimate is at most ``tol * max(eps**(2/3), |theta|)``, and
     ``|theta1| <= |M|_2 <= |M|_F``, so its own stopping test implies the
-    gate above up to roundoff; the gate still checks the true residual.
-
-    Why a budget of ``4 n`` products with ``M``, passed as ``maxiter=4 n //
-    (ncv - r)`` restarts (``ncv`` is eigsh's default basis size, passed
-    explicitly): a restart makes between ``(ncv - r) / 2`` and ``ncv - r``
-    products (it keeps ``r`` Ritz vectors, plus at most half the rest once
-    some converge).  A product costs O(nnz(M) + n ncv) flops plus a fixed
-    cost of ARPACK's Python reverse communication, the dense redo O(n^3), so
-    a call that cannot converge wastes a bounded multiple of the redo's
-    flops plus ``4 n`` fixed costs (at n = 401, 0.07 s with its redo, which
-    alone takes about 8 ms).  The budget is at least twice the most products
-    a converging benchmark call makes (1,751 at n = 1000, 364 at n = 450),
-    so by the lower bound every such call ends before the cap with its bits
-    unchanged (105 restarts at most, against a cap of 235).
+    gate up to roundoff.  Its budget of ``4 n`` products with ``M``, passed
+    as ``maxiter=4 n // (ncv - r)`` restarts of at most ``ncv - r``
+    products, bounds a call that cannot converge by a multiple of the dense
+    redo's O(n^3) flops, and lies well above what a converging call makes.
     """
     from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, norm
 
@@ -352,9 +310,8 @@ def _top_eigs_sparse(M, r):
         return top_eigs(M.toarray(), r)
 
     class Product(LinearOperator):
-        # ARPACK calls matvec hundreds of times per solve, and the base
-        # class checks and reshapes on every call, a sizeable share of one
-        # sparse product at these orders; here matvec is the bare product
+        # the base class checks and reshapes on every matvec, a sizeable
+        # share of one sparse product; here matvec is the bare product
         def _matvec(self, x):
             return M @ x
 

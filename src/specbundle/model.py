@@ -18,24 +18,12 @@ the dominance and membership diagnostics become feasible for every
 variant, matching the constant-trace convention the aggregate analysis
 assumes.
 
-The eigensolve behind F: up to order ``_SPARSE_ABOVE_N`` the slack is a
-dense matrix, negated in the buffer the constraint sums were scattered
-into, and ``top_eigs`` runs LAPACK's ``dsyevr`` over the top indices;
-``dual_objective``, which needs lambda_max alone (the invariant probes),
-asks ``dsyevr`` for that eigenvalue without its eigenvector, with the
-same bits.  Above it,
-``A* y - C`` is assembled as a CSR matrix on a pattern built once per
-problem, and ``top_eigs`` runs Lanczos (``eigsh``).  That eigensolve is
-inexact: its top Ritz value is at most lambda_max, so F(z) can be low by
-up to ``alpha * |M v1 - theta1 v1|``, and the descent test
+The eigensolve behind F is exact on the dense slack up to order
+``_SPARSE_ABOVE_N``.  Above it ``A* y - C`` is a CSR matrix on a pattern
+built once per problem and the eigensolve is Lanczos, so F(z) can be low
+by the bound ``linops._top_eigs_sparse`` states, and the descent test
 ``F(z) <= F(y) - beta * (F(y) - model(z))`` can accept a candidate whose
-true F(z) is above the threshold by as much.  Every call checks that
-residual against ``linops._EIGSH_RES_TOL * max(1, |M|_F)`` (1e-10) and
-redoes the solve densely when it fails, so the excess is at most
-``alpha * 1e-10 * max(1, |M|_F)``.  ARPACK runs at ``tol`` equal to that
-same constant: it accepts a Ritz pair once its residual estimate is at
-most ``tol * max(eps**(2/3), |theta|)``, and ``|theta1| <= |M|_F``, so its
-own stopping test implies the check up to roundoff.
+true F(z) is above the threshold by as much.
 """
 
 from __future__ import annotations
@@ -143,12 +131,10 @@ class SdpProblem:
 
 
 def dual_objective(prob, y, slack=None):
-    """Penalized dual objective F(y); ``slack`` is ``prob.dual_slack(y)``
-    when the caller has already built it.
-
-    Up to order ``_SPARSE_ABOVE_N`` lambda_max comes from an
-    eigenvalue-only dense solve (``top_eigval``), whose bits are those of
-    ``objective_with_spectrum(prob, y, 1)``'s; above it, F is that call's."""
+    """Penalized dual objective F(y), ``objective_with_spectrum(prob, y,
+    1)[0]`` bit for bit; up to order ``_SPARSE_ABOVE_N`` no eigenvector is
+    formed.  ``slack`` is ``prob.dual_slack(y)`` when the caller has already
+    built it."""
     if prob.n > _SPARSE_ABOVE_N:
         return objective_with_spectrum(prob, y, 1, slack)[0]
     D = prob.dual_slack(y) if slack is None else slack
@@ -166,7 +152,7 @@ def objective_with_spectrum(prob, y, k, slack=None):
     The solver needs the same spectrum for the objective, the next bundle
     basis, and the eigengap diagnostics, so they are computed once.  Above
     order ``_SPARSE_ABOVE_N`` the eigensolve is Lanczos on a CSR slack,
-    whose error enters F as the module docstring states.  ``slack`` is
+    inexact as ``linops._top_eigs_sparse`` states.  ``slack`` is
     ``prob.dual_slack(y)`` when the caller has already built it.
     """
     vals, vecs = top_eigs(prob.dual_slack(y) if slack is None else slack, k)
@@ -207,10 +193,8 @@ def model_value(prob, agg, V, y, slack=None):
     are 0, the stored aggregate, and alpha * v v^T for unit v in the span
     of V, giving the closed form
         <-b, y> + alpha * max(lambda_max(V^T (A*y - C) V), cbar / alpha, 0)
-    with cbar = <Xbar, A* y - C> evaluated from the caches.  Above order
-    ``_SPARSE_ABOVE_N`` the slack is the CSR matrix, so no n x n array is
-    built.  ``slack`` is ``prob.dual_slack(y)`` when the caller has already
-    built it.
+    with cbar = <Xbar, A* y - C> evaluated from the caches.  ``slack`` is
+    ``prob.dual_slack(y)`` when the caller has already built it.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:

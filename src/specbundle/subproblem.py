@@ -22,14 +22,9 @@ refine accelerated projected gradient iterates otherwise; the projection
 onto S_t is spectral and reduces to a simplex-with-slack projection of
 (eta, eigenvalues).
 
-The projection takes a stack of points.  A face ladder's candidates are
-projected as one stack and scored in one pass (``_score``), and a single
-point is a stack of one, so there is one projection algorithm.  Stacked
-and single results agree bit for bit, since the outer trajectory
-amplifies last-bit changes: each matrix gets its own ``dsyevr`` call,
-the least-squares face solves call LAPACK's ``dgelsd`` as
-``np.linalg.lstsq`` does, and the stacked forms are those that reproduce
-the single-point operations.
+The projection and ``_score`` take stacks of points, a single point being
+a stack of one, and agree bit for bit with the single-point operations,
+since the outer trajectory amplifies last-bit changes.
 """
 
 from __future__ import annotations
@@ -76,14 +71,9 @@ def project_simplex_hull(v):
 
 
 def project_psd_simplex_hull(eta0, S0):
-    """Project (eta0, S0) onto { eta >= 0, S psd, eta + tr(S) <= 1 }.
-
-    Spectral: the projection keeps the eigenbasis of S0 and jointly
-    projects (eta0, eigenvalues) onto the nonnegative simplex hull.
-    Given a vector ``eta0`` of length c and a (c, p, p) stack ``S0``, it
-    returns the c projections as a vector and a stack, each pair bit for
-    bit its own projection.
-    """
+    """Project (eta0, S0) onto { eta >= 0, S psd, eta + tr(S) <= 1 }; a
+    vector ``eta0`` of length c with a (c, p, p) stack ``S0`` gives the c
+    projections as a vector and a stack, each bit for bit its own."""
     S0 = np.asarray(S0, dtype=float)
     if S0.ndim == 3:
         return _project_psd_stack(np.asarray(eta0, dtype=float), S0)
@@ -386,18 +376,6 @@ def _score(ip, E, Ss, f_cap):
     """Values of the scaled points (E[i], Ss[i]) and, for those not above
     ``f_cap``, stationarity residuals (NaN for the others): bit for bit
     what ``ip.value`` and ``_stationarity_residual`` give point by point.
-
-    Only forms that reproduce the single-point operations are used.  On
-    2,000 random draws (p = 1..8, m up to 200) these matched every time:
-    ``np.matmul(T2, S.reshape(c, p*p, 1))``, ``np.matmul(R[:, None, :],
-    AX[:, None])``, ``np.matmul(R[:, None, :], R[:, :, None])``,
-    ``np.matmul(R[:, None, :], T2)``, ``sum(axis=(1, 2))``,
-    ``cumsum(axis=1)`` and stacked p x p ``matmul``; so did ``_rotated``'s
-    two GEMMs for the stacked ``Q^T T_k Q`` (2,000 draws, m up to 6,600,
-    in ``test_rotated_stack_bitwise_equals_stacked_matmul``).  These did not:
-    ``T2 @ S.T`` (gemm), ``R @ AX`` (gemv), ``einsum('ij,ij->i', R, R)``
-    and numpy's batched ``eigh`` (syevd).  The scalar square stays a
-    Python ``**``, whose ``pow`` can round differently from ``x * x``.
     """
     a = ip.alpha
     c, p = Ss.shape[:2]
@@ -594,12 +572,9 @@ class InnerSolution:
 
 
 def solve_subproblem(prob, agg, V, y, rho, warm=None, max_iter=5000):
-    """Solve one bundle subproblem and assemble the candidate point.
-
-    A width-1 bundle is solved exactly over the face ladder, a wider one
-    by APG.  The candidate z satisfies the stationarity identity
-    z = y + (b - A(X)) / rho by construction, and the model value at z is
-    recovered from the inner optimum as  -value - (rho/2) ||z - y||^2.
+    """Solve one bundle subproblem, exactly at width 1, by APG otherwise,
+    and assemble the candidate z = y + (b - A(X)) / rho and the model value
+    there, recovered from the inner optimum as -value - (rho/2) ||z - y||^2.
     """
     ip = InnerProblem.build(prob, agg, V, y, rho)
     eta, S, info = (solve_inner_rank1(ip) if ip.width == 1

@@ -4,6 +4,7 @@ checks, and the command-line front end."""
 import csv
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from specbundle.bench.verify import sample_gapped_matrix, spectral_truncation_ga
 from specbundle.linops import symmetrize
 
 from conftest import embed_completion, symm
+
+REFS_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "refs"
 
 
 # -- graphs -----------------------------------------------------------------
@@ -211,9 +214,15 @@ def test_reference_values_from_dict():
     with pytest.raises(ValueError, match="JSON object"):
         ReferenceValues.from_dict([1.0])
     for name, bad in (("d_star", "x"), ("nuc", None), ("p_star", True),
-                      ("rank", 2.0), ("provenance", 3)):
+                      ("rank", 2.0), ("provenance", 3), ("d_star", float("nan")),
+                      ("p_star", -float("inf")), ("nuc", float("nan")), ("nuc", float("inf")),
+                      ("nuc", 0), ("nuc", -3.0)):
         with pytest.raises(ValueError, match=f"reference value {name} must be"):
             ReferenceValues.from_dict({**refs.to_dict(), name: bad})
+    # the committed benchmark references, whose nuclear norm is n, still load
+    for path in sorted(REFS_DIR.glob("*.json")):
+        data = json.loads(path.read_text())
+        assert ReferenceValues.from_dict(data["refs"]).nuc == data["instance"]["n"]
 
 
 def test_numerical_rank():
@@ -686,6 +695,7 @@ def test_cli_plotdata_rows(tmp_path, capsys):
     ["plotdata", "--trace", "/nonexistent/trace.csv", "--d-star", "1.0"],
     ["solve", "--problem", "maxcut", "--gen", "triangle", "--save-ref", "ref.json"],
     ["plotdata", "--trace", "t.csv", "--ref", "ref.json", "--d-star", "1.0"],
+    ["solve", "--problem", "maxcut", "--gen", "er,n=30,weight=2"],
 ])
 def test_cli_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2
@@ -769,9 +779,18 @@ def _drop(outer, key):
     (_drop("invariants", "model_minus_f"), "invariants.model_minus_f"),
     (_set("invariants", "membership_err", "x"), "invariants.membership_err"),
     (lambda data: data.pop("alpha_effective"), "alpha_effective"),
+    (_set("config", "beta", 0), "config.beta"),
+    (_set("config", "beta", 1.0), "config.beta"),
+    (_set("config", "rho", 0.0), "config.rho"),
+    (_set("config", "rho", float("nan")), "config.rho"),
+    (_set("alpha_effective", -1.0), "alpha_effective"),
+    (_set("alpha_effective", float("inf")), "alpha_effective"),
+    (_set("max_norm_y", -1.0), "max_norm_y"),
+    (_set("max_norm_y", float("nan")), "max_norm_y"),
 ], ids=["config-list", "invariants-list", "rho-string", "max-norm-y-string",
         "invariants-without-model-minus-f", "membership-err-string",
-        "without-alpha-effective"])
+        "without-alpha-effective", "beta-zero", "beta-one", "rho-zero", "rho-nan",
+        "alpha-negative", "alpha-inf", "max-norm-y-negative", "max-norm-y-nan"])
 def test_cli_verify_malformed_summary_field_exits_two(tmp_path, capsys, edit, field):
     rc, trace, summary = _solve_triangle(tmp_path)
     assert rc == 0
@@ -783,6 +802,20 @@ def test_cli_verify_malformed_summary_field_exits_two(tmp_path, capsys, edit, fi
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f" {field}" in err
+
+
+@pytest.mark.parametrize("nuc", [0, -3.0, float("nan")])
+def test_cli_verify_ref_nuc_out_of_range_exits_two(tmp_path, capsys, nuc):
+    rc, trace, summary = _solve_triangle(tmp_path)
+    assert rc == 0
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps({"d_star": 9.0, "p_star": -9.0, "nuc": nuc, "rank": 1,
+                               "provenance": "test"}))
+    capsys.readouterr()
+    rc = main(["verify", "--trace", str(trace), "--summary", str(summary), "--ref", str(ref)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "reference value nuc must be" in captured.err
 
 
 def test_cli_plotdata_ref_not_an_object_exits_two(tmp_path, capsys):

@@ -4,7 +4,7 @@ step oracle, aggregate bookkeeping, variant equivalences, and the driver."""
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -40,10 +40,29 @@ from conftest import rand_problem
     dict(inner_max_iter=0, rbar=2),
     dict(sketch_rank=0, storage="compressed"),
     dict(sketch_rank=2),
+    dict(rbar=2.5),
+    dict(rbar=True),
+    dict(max_iters=2.5),
+    dict(inner_max_iter=60.0),
+    dict(seed=-1),
+    dict(seed=0.5),
+    dict(sketch_rank=2.5, storage="compressed"),
+    dict(sketch_rank=False, storage="compressed"),
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
         SolverConfig(**kw).validate()
+
+
+def test_config_names_a_non_integer_size_and_accepts_numpy_integers():
+    for name in ("rbar", "max_iters", "inner_max_iter", "seed"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SolverConfig(**{name: 3.0}).validate()
+    with pytest.raises(ValueError, match="^seed must be nonnegative"):
+        SolverConfig(seed=-1).validate()
+    cfg = SolverConfig(rbar=np.int64(2), max_iters=np.int64(3), inner_max_iter=np.int64(60),
+                       seed=np.int64(1), storage="compressed", sketch_rank=np.int64(2))
+    assert cfg.validate() is cfg
 
 
 def test_descent_test_cases():
@@ -470,6 +489,7 @@ def test_run_collects_invariant_telemetry():
         assert rep is not None
         assert rep.checked == res.stats.iterations
         d = rep.as_dict()
+        assert list(d) == [f.name for f in fields(bundle.InvariantReport)]
         assert d["checked"] == rep.checked
         assert rep.simple_minus_model <= 1e-7
         assert rep.model_minus_f <= 1e-7

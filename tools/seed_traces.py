@@ -2,7 +2,7 @@
 workloads, of sixteen small runs and of one run on the Lanczos path, and
 the artifacts of the command-line front end on two small instances.
 
-    python3 tools/seed_traces.py OUTDIR
+    python3 tools/seed_traces.py OUTDIR [--write MANIFEST | --check MANIFEST]
 
 Solves each workload of ``perfbench/workloads.py`` once, at seed 0, with
 the solver from this checkout's ``src/``, and writes its ``write_trace``
@@ -39,12 +39,20 @@ not written.
 
 Both files write floats that parse back to the same bits (17 significant
 digits in the CSV, Python's round-trip ``repr`` in the JSON), so two
-checkouts that run the same arithmetic give byte-identical files, and a
-change that must leave the iterates alone is checked with
+checkouts that run the same arithmetic give byte-identical files.  The
+committed manifest ``tools/seed_traces.manifest.json`` holds the sha256 of
+each file and the environment that wrote them, and a change that must leave
+the iterates alone is checked against it with
 
-    python3 tools/seed_traces.py /tmp/before     # in the parent checkout
-    python3 tools/seed_traces.py /tmp/after      # in the changed checkout
-    diff -r /tmp/before /tmp/after
+    python3 tools/seed_traces.py OUTDIR --check tools/seed_traces.manifest.json
+
+which exits 1 and names each file that differs, is missing or is extra,
+and exits 2 without comparing when this environment (numpy and scipy
+versions, BLAS name and version, OpenBLAS core of each loaded library)
+differs from the manifest's, since another BLAS build or kernel may round
+differently.  A change that moves bits rewrites the manifest with
+
+    python3 tools/seed_traces.py OUTDIR --write tools/seed_traces.manifest.json
 
 BLAS and OpenMP are pinned to one thread before numpy loads, as in
 ``perfbench/run.py``, because the thread count changes the trajectory.
@@ -57,6 +65,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import ctypes
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -120,10 +131,89 @@ def cli_runs(out):
                 raise SystemExit(f"seed_traces.py: specbundle {' '.join(argv)} failed")
 
 
+def environment():
+    """What the traces' bits depend on besides the source: numpy and scipy
+    versions, the BLAS that numpy was built with, and the core that each
+    loaded OpenBLAS library dispatches to (empty where the process map
+    cannot be read)."""
+    import numpy as np
+    import scipy
+    import scipy.linalg  # noqa: F401  loads scipy's own OpenBLAS
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    cores = {}
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        libs = set()
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                    "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                cores[Path(path).name] = fn().decode()
+                break
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}", "openblas_cores": cores}
+
+
+def digests(outdir):
+    """sha256 of each file under ``outdir``, keyed by its relative path."""
+    root = Path(outdir)
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def write_manifest(outdir, manifest, env):
+    """Record the digests of the files under ``outdir`` and ``env`` in ``manifest``."""
+    Path(manifest).write_text(json.dumps({"environment": env, "files": digests(outdir)},
+                                         indent=1, sort_keys=True) + "\n")
+
+
+def same_environment(manifest, env):
+    """Whether ``manifest`` was written in the environment ``env``; prints
+    both to stderr when it was not."""
+    want = json.loads(Path(manifest).read_text())["environment"]
+    if want != env:
+        print(f"seed_traces.py: environment differs from {manifest}, not comparing:\n"
+              f"  manifest: {json.dumps(want, sort_keys=True)}\n"
+              f"  here:     {json.dumps(env, sort_keys=True)}", file=sys.stderr)
+    return want == env
+
+
+def check_manifest(outdir, manifest, env):
+    """Compare the files under ``outdir`` with ``manifest``, printing each
+    file that differs, is missing or is extra.  Returns 0 when all match,
+    1 when any does not, and 2, without comparing, when ``env`` is not the
+    manifest's environment."""
+    if not same_environment(manifest, env):
+        return 2
+    want = json.loads(Path(manifest).read_text())
+    have = digests(outdir)
+    bad = [f"differs: {k}" for k in sorted(want["files"].keys() & have.keys())
+           if want["files"][k] != have[k]]
+    bad += [f"missing: {k}" for k in sorted(want["files"].keys() - have.keys())]
+    bad += [f"extra: {k}" for k in sorted(have.keys() - want["files"].keys())]
+    for line in bad:
+        print(line)
+    print(f"{len(have)} files, {len(bad)} not as in {manifest}")
+    return 1 if bad else 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir", help="directory for the <workload>.csv/.json files")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--write", metavar="MANIFEST",
+                      help="record the files' digests and the environment in MANIFEST")
+    mode.add_argument("--check", metavar="MANIFEST",
+                      help="compare the files with MANIFEST (exit 1 on a difference)")
     args = ap.parse_args(argv)
+    env = environment()
+    if args.check and not same_environment(args.check, env):
+        return 2    # before the solves, which another environment makes moot
     out = Path(args.outdir)
     (out / "small").mkdir(parents=True, exist_ok=True)
     (out / "lanczos").mkdir(exist_ok=True)
@@ -134,6 +224,10 @@ def main(argv=None):
         write_run(out / "small", name, prob, cfg)
     write_run(out / "lanczos", *lanczos_run())
     cli_runs(out / "cli")
+    if args.write:
+        write_manifest(out, args.write, env)
+    elif args.check:
+        return check_manifest(out, args.check, env)
     return 0
 
 

@@ -18,12 +18,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..linops import ConstraintMap
+from ..linops import ConstraintMap, DimensionError
 from ..model import SdpProblem
 
 
 class ParseError(ValueError):
     """Malformed instance file; message carries the offending line number."""
+
+
+def _require_finite(a, field, what, whole=False):
+    """Raise a ValueError naming ``field`` at the first entry of the float
+    array ``a`` that is not finite or, with ``whole``, not an integer."""
+    bad = ~np.isfinite(a)
+    if whole:
+        bad |= a != np.round(a)
+    if bad.any():
+        raise ValueError(f"{field}: {what} {a[bad][0]} is not "
+                         + ("an integer" if whole else "finite"))
+
+
+def _as_indices(a, field):
+    """The index array ``a`` as ints, refusing entries that are not integers."""
+    if a.dtype.kind not in "biu":
+        _require_finite(a.astype(float), field, "index", whole=True)
+    return a.astype(int, copy=False)
+
+
+def _has_duplicates(keys):
+    """Whether the integer array ``keys`` repeats a value."""
+    # argsort, not sort: every solve already runs numpy's int64 argsort (in
+    # np.unique), while a first np.sort maps about 128 KB more of its code
+    keys = keys[np.argsort(keys)]
+    return bool(np.any(keys[1:] == keys[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -44,17 +70,17 @@ class GraphInstance:
             e = np.zeros((0, 3))
         if e.shape[1] != 3:
             raise ValueError(f"edges must have three columns, got shape {e.shape}")
+        _require_finite(e[:, :2], "edges", "endpoint", whole=True)
+        _require_finite(e[:, 2], "edges", "weight")
         i, j = e[:, 0].astype(int), e[:, 1].astype(int)
         if np.any(i == j):
             raise ValueError("self-loops are not allowed")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         if np.any(lo < 0) or np.any(hi >= self.n):
             raise ValueError("edge endpoint outside the vertex range")
-        e = np.column_stack([lo, hi, e[:, 2]]).astype(float)
-        keys = set(map(tuple, e[:, :2].astype(int)))
-        if len(keys) != e.shape[0]:
+        if _has_duplicates(lo * self.n + hi):
             raise ValueError("duplicate edges")
-        object.__setattr__(self, "edges", e)
+        object.__setattr__(self, "edges", np.column_stack([lo, hi, e[:, 2]]))
 
     def laplacian(self):
         """Dense graph Laplacian.  Each diagonal entry sums its edges'
@@ -76,15 +102,30 @@ def triangle_graph():
     return GraphInstance(n=3, edges=np.array([[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]))
 
 
+# pairs per draw in gen_er_graph; PCG64 spends one 64-bit output per
+# double, so the chunked draws equal one draw over all pairs
+_ER_CHUNK = 1 << 16
+
+
 def gen_er_graph(n, p, seed):
-    """Erdos-Renyi G(n, p) with unit edge weights."""
+    """Erdos-Renyi G(n, p) with unit edge weights.
+
+    Pair k of the n(n-1)/2 pairs i < j, in row-major order, is an edge when
+    the k-th uniform of ``default_rng(seed)`` is below p.  The uniforms are
+    drawn in chunks and only the hits are kept, so memory is O(edges + n).
+    """
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    edges = np.column_stack([iu[mask], ju[mask], np.ones(int(mask.sum()))])
-    if edges.shape[0] == 0:
+    pairs = n * (n - 1) // 2 if n > 1 else 0
+    hits = [np.flatnonzero(rng.random(min(_ER_CHUNK, pairs - k)) < p) + k
+            for k in range(0, pairs, _ER_CHUNK)]
+    k = np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
+    if k.size == 0:
         raise ValueError(f"G({n}, {p}) draw came out empty; pick a denser graph")
-    return GraphInstance(n=n, edges=edges)
+    r = np.arange(n - 1)
+    starts = r * n - r * (r + 1) // 2      # linear index of pair (r, r + 1)
+    i = np.searchsorted(starts, k, side="right") - 1
+    j = k - starts[i] + i + 1
+    return GraphInstance(n=n, edges=np.column_stack([i, j, np.ones(k.size)]))
 
 
 def read_gset(path):
@@ -131,7 +172,12 @@ def build_maxcut(g, alpha=None):
     """
     C = g.laplacian()
     np.negative(C, out=C)      # C = -L in the Laplacian's own buffer
-    amap = ConstraintMap.from_triples(g.n, [[(i, i, 1.0)] for i in range(g.n)])
+    if g.n < 1:
+        raise DimensionError(f"matrix order must be positive, got {g.n}")
+    # constraint i is the single diagonal entry (i, i) with value 1
+    amap = ConstraintMap(n=g.n, m=g.n, idx=np.arange(g.n, dtype=np.intp),
+                         row=np.arange(g.n, dtype=np.intp),
+                         col=np.arange(g.n, dtype=np.intp), val=np.ones(g.n))
     b = np.ones(g.n)
     if alpha is None:
         alpha = 2.0 * g.n
@@ -155,14 +201,15 @@ class CompletionInstance:
     factors: np.ndarray | None = None
 
     def __post_init__(self):
-        r = np.asarray(self.rows, dtype=int)
-        c = np.asarray(self.cols, dtype=int)
+        r, c = np.asarray(self.rows), np.asarray(self.cols)
         v = np.asarray(self.vals, dtype=float)
         if not (r.shape == c.shape == v.shape) or r.ndim != 1 or r.size == 0:
             raise ValueError("rows, cols, vals must be equal-length nonempty 1-d arrays")
+        r, c = _as_indices(r, "rows"), _as_indices(c, "cols")
+        _require_finite(v, "vals", "value")
         if r.min() < 0 or c.min() < 0 or r.max() >= self.d or c.max() >= self.d:
             raise ValueError("observed index outside the matrix")
-        if len({(i, j) for i, j in zip(r.tolist(), c.tolist())}) != r.size:
+        if _has_duplicates(r * self.d + c):
             raise ValueError("duplicate observed cells")
         object.__setattr__(self, "rows", r)
         object.__setattr__(self, "cols", c)
@@ -238,9 +285,10 @@ def build_completion(inst, alpha=None):
     d = inst.d
     n = 2 * d
     C = np.eye(n)
-    triples = [[(int(i), int(d + j), 0.5)]
-               for i, j in zip(inst.rows.tolist(), inst.cols.tolist())]
-    amap = ConstraintMap.from_triples(n, triples)
+    m = inst.n_obs
+    amap = ConstraintMap(n=n, m=m, idx=np.arange(m, dtype=np.intp),
+                         row=inst.rows.astype(np.intp), col=(d + inst.cols).astype(np.intp),
+                         val=np.full(m, 0.5))
     if alpha is None:
         if inst.factors is None:
             raise ValueError(

@@ -29,6 +29,7 @@ compared only by ``_record_distance``.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
@@ -77,6 +78,14 @@ class SolverConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {_VARIANTS}")
+        for name in ("beta", "rho", "target_gap"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ValueError(f"{name} must be a finite real number, got {v!r}")
+        if self.target_gap < 0:
+            raise ValueError(f"target_gap must be nonnegative, got {self.target_gap}")
+        if not isinstance(self.check_invariants, (bool, np.bool_)):
+            raise ValueError(f"check_invariants must be a bool, got {self.check_invariants!r}")
         if not (0.0 < self.beta < 1.0):
             raise ValueError(f"descent parameter must lie in (0,1), got {self.beta}")
         if not (self.rho > 0):

@@ -279,6 +279,28 @@ def top_eigs(M, r):
     return vals[order], _fix_signs(vecs[:, order])
 
 
+@cache
+def _product_operator():
+    """The ``LinearOperator`` subclass that ``_top_eigs_sparse`` hands ARPACK,
+    defined once: a class made per call sits in reference cycles and would
+    keep its matrix alive until a cyclic garbage collection."""
+    from scipy.sparse.linalg import LinearOperator
+
+    class Product(LinearOperator):
+        # the base class checks and reshapes on every matvec, a sizeable
+        # share of one sparse product; here matvec is the bare product
+        def __init__(self, M):
+            super().__init__(M.dtype, M.shape)
+            self.M = M
+
+        def _matvec(self, x):
+            return self.M @ x
+
+        matvec = _matvec
+
+    return Product
+
+
 def _top_eigs_sparse(M, r):
     """``top_eigs`` of a sparse symmetric matrix by ARPACK's ``eigsh``
     (``which="LA"``), always started from ``gaussian_matrix(0, (n,))``, since
@@ -301,7 +323,7 @@ def _top_eigs_sparse(M, r):
     products, bounds a call that cannot converge by a multiple of the dense
     redo's O(n^3) flops, and lies well above what a converging call makes.
     """
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, norm
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh, norm
 
     from .sketch import gaussian_matrix
 
@@ -309,17 +331,9 @@ def _top_eigs_sparse(M, r):
     if r == n:
         return top_eigs(M.toarray(), r)
 
-    class Product(LinearOperator):
-        # the base class checks and reshapes on every matvec, a sizeable
-        # share of one sparse product; here matvec is the bare product
-        def _matvec(self, x):
-            return M @ x
-
-        matvec = _matvec
-
     ncv = min(n, max(2 * r + 1, 20))
     try:
-        vals, vecs = eigsh(Product(M.dtype, M.shape), k=r, which="LA", tol=_EIGSH_RES_TOL,
+        vals, vecs = eigsh(_product_operator()(M), k=r, which="LA", tol=_EIGSH_RES_TOL,
                            v0=gaussian_matrix(0, (n,)), ncv=ncv,
                            maxiter=max(1, 4 * n // (ncv - r)))
     except ArpackNoConvergence as exc:

@@ -2,6 +2,7 @@
 checks, and the command-line front end."""
 
 import csv
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from specbundle import SolverConfig, run
+from specbundle import ConstraintMap, DimensionError, SolverConfig, run
 from specbundle.bench import (ReferenceValues, TraceFormatError,
                               build_completion, build_maxcut,
                               check_recorded_invariants,
@@ -18,6 +19,7 @@ from specbundle.bench import (ReferenceValues, TraceFormatError,
                               gen_completion, gen_er_graph, maxcut_reference,
                               summary_dict, verify_run, write_summary,
                               write_trace)
+from specbundle.bench import problems
 from specbundle.bench.cli import main
 from specbundle.bench.problems import (CompletionInstance, GraphInstance,
                                        ParseError, read_gset, read_observations,
@@ -91,6 +93,187 @@ def test_er_generator_deterministic():
     assert a.edges[:, 0].min() >= 0 and a.edges[:, 1].max() < 30
     with pytest.raises(ValueError):
         gen_er_graph(5, 0.0, seed=0)
+
+
+def _er_all_pairs(n, p, seed):
+    """The all-pairs Erdos-Renyi draw, the oracle of the streamed one."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.size) < p
+    return np.column_stack([iu[mask], ju[mask], np.ones(int(mask.sum()))])
+
+
+@pytest.mark.parametrize("n,p,seed", [
+    (2, 1.0, 0), (3, 1.0, 0), (3, 0.5, 1), (30, 1.0, 4),
+    (200, 0.1, 2), (1000, 0.01, 0), (100, 0.1, 2),   # the benchmark's graphs
+])
+def test_er_generator_equals_the_all_pairs_draw(n, p, seed):
+    want = _er_all_pairs(n, p, seed)
+    got = gen_er_graph(n, p, seed).edges
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [780, 390, 779, 7, 1])
+def test_er_generator_chunk_boundaries(monkeypatch, chunk):
+    # n = 40 has 780 pairs: one chunk, two, one past a chunk, and ragged
+    monkeypatch.setattr(problems, "_ER_CHUNK", chunk)
+    assert gen_er_graph(40, 0.3, 9).edges.tobytes() == _er_all_pairs(40, 0.3, 9).tobytes()
+
+
+def test_er_generator_empty_draws_match_the_oracle():
+    for n, p in ((1, 1.0), (0, 1.0), (5, 0.0)):
+        assert _er_all_pairs(n, p, 0).shape[0] == 0
+        with pytest.raises(ValueError, match="came out empty"):
+            gen_er_graph(n, p, 0)
+
+
+def test_er_generator_large_draw_is_pinned_and_small():
+    # the sha256 of the edges the all-pairs draw gave at n = 5000, which
+    # held 298 MiB of pair arrays
+    tracemalloc.start()
+    try:
+        g = gen_er_graph(5000, 0.002, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edges.shape == (25063, 3)
+    assert hashlib.sha256(g.edges.tobytes()).hexdigest() == (
+        "c3b9b1ea4bf55cf8f3ebcf38ed690b0ea0673f9a2117425c638e9e0f796a259b")
+    assert peak <= 8 * 2**20
+
+
+def test_er_generator_peak_memory_is_far_below_one_dense_matrix():
+    tracemalloc.start()
+    try:
+        gen_er_graph(1000, 0.01, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 1000 * 1000 * 8
+
+
+def _graph_oracle(n, edges):
+    """The set-of-tuples validation of an edge list: its message, or the
+    canonical edge array."""
+    e = np.atleast_2d(np.asarray(edges, dtype=float))
+    i, j = e[:, 0].astype(int), e[:, 1].astype(int)
+    if np.any(i == j):
+        return "self-loops are not allowed"
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    if np.any(lo < 0) or np.any(hi >= n):
+        return "edge endpoint outside the vertex range"
+    if len(set(zip(lo.tolist(), hi.tolist()))) != e.shape[0]:
+        return "duplicate edges"
+    return np.column_stack([lo, hi, e[:, 2]]).astype(float)
+
+
+def _cells_oracle(d, rows, cols):
+    r, c = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    if r.min() < 0 or c.min() < 0 or r.max() >= d or c.max() >= d:
+        return "observed index outside the matrix"
+    if len({(i, j) for i, j in zip(r.tolist(), c.tolist())}) != r.size:
+        return "duplicate observed cells"
+    return None
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_duplicate_detection_matches_the_set_of_tuples_oracle():
+    rng = np.random.default_rng(21)
+    seen = set()
+    for _ in range(300):
+        n, k = int(rng.integers(2, 9)), int(rng.integers(1, 12))
+        edges = np.column_stack([rng.integers(0, n, k), rng.integers(0, n, k),
+                                 rng.normal(size=k)])
+        if rng.random() < 0.1:
+            edges[rng.integers(k), rng.integers(2)] = n
+        if rng.random() < 0.5:     # inject a repeat, reversed half the time
+            dup = edges[rng.integers(k)].copy()
+            if rng.random() < 0.5:
+                dup[:2] = dup[1::-1]
+            edges = np.vstack([edges, dup])
+        want = _graph_oracle(n, edges)
+        got = _outcome(lambda: GraphInstance(n, edges).edges)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
+        seen.add(want if isinstance(want, str) else "ok")
+
+        d = int(rng.integers(1, 6))
+        rows, cols = rng.integers(0, d + 1, k), rng.integers(0, d + 1, k)
+        if rng.random() < 0.5:
+            at = rng.integers(k)
+            rows, cols = np.append(rows, rows[at]), np.append(cols, cols[at])
+        want = _cells_oracle(d, rows, cols)
+        got = _outcome(lambda: CompletionInstance(d, rows, cols, np.ones(rows.size)))
+        assert (got if isinstance(got, str) else None) == want
+        seen.add(want or "ok")
+    assert seen == {"ok", "self-loops are not allowed", "edge endpoint outside the vertex range",
+                    "duplicate edges", "observed index outside the matrix",
+                    "duplicate observed cells"}
+
+
+@pytest.mark.parametrize("build,fragment", [
+    (lambda: GraphInstance(3, [[0.5, 1.9, 1.0]]), "^edges: endpoint 0.5 is not an integer"),
+    (lambda: CompletionInstance(d=3, rows=[0.7], cols=[2.2], vals=[1.0]),
+     "^rows: index 0.7 is not an integer"),
+    (lambda: CompletionInstance(d=3, rows=[0], cols=[2.2], vals=[1.0]),
+     "^cols: index 2.2 is not an integer"),
+    (lambda: build_maxcut(GraphInstance(3, [[0, 1, np.nan]])), "^edges: weight nan is not finite"),
+    (lambda: build_maxcut(GraphInstance(3, [[0, 1, np.inf]])), "^edges: weight inf is not finite"),
+    (lambda: CompletionInstance(d=3, rows=[0], cols=[1], vals=[np.nan]),
+     "^vals: value nan is not finite"),
+], ids=["fractional-endpoint", "fractional-row", "fractional-col", "nan-weight",
+        "inf-weight", "nan-value"])
+def test_instances_reject_input_they_would_mangle(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
+def test_instances_accept_integral_floats_and_store_ints():
+    g = GraphInstance(3, [[2.0, -0.0, 1.5]])
+    assert g.edges.tobytes() == np.array([[0.0, 2.0, 1.5]]).tobytes()
+    inst = CompletionInstance(d=3, rows=[2.0], cols=[0.0], vals=[1.0])
+    assert inst.rows.dtype == inst.cols.dtype == np.int_
+    assert (inst.rows[0], inst.cols[0]) == (2, 0)
+
+
+def _map_arrays(amap):
+    return [(a.dtype, a.tobytes()) for a in (amap.idx, amap.row, amap.col, amap.val)]
+
+
+@pytest.mark.parametrize("n,p,seed", [(200, 0.1, 2), (1000, 0.01, 0), (100, 0.1, 2), (3, 1.0, 0)])
+def test_build_maxcut_map_equals_from_triples(n, p, seed):
+    g = gen_er_graph(n, p, seed)
+    amap = build_maxcut(g).A
+    want = ConstraintMap.from_triples(g.n, [[(i, i, 1.0)] for i in range(g.n)])
+    assert (amap.n, amap.m) == (want.n, want.m)
+    assert _map_arrays(amap) == _map_arrays(want)
+
+
+@pytest.mark.parametrize("inst", [lambda: gen_completion(150, 3, 0.3, 0),
+                                  lambda: gen_completion(5, 2, 0.5, 1)])
+def test_build_completion_map_equals_from_triples(inst):
+    inst = inst()
+    d = inst.d
+    amap = build_completion(inst).A
+    want = ConstraintMap.from_triples(
+        2 * d, [[(int(i), int(d + j), 0.5)] for i, j in zip(inst.rows.tolist(),
+                                                             inst.cols.tolist())])
+    assert (amap.n, amap.m) == (want.n, want.m)
+    assert _map_arrays(amap) == _map_arrays(want)
+
+
+def test_build_maxcut_rejects_a_graph_without_vertices():
+    with pytest.raises(DimensionError, match="matrix order must be positive"):
+        build_maxcut(GraphInstance(0, np.zeros((0, 3))))
 
 
 def test_build_maxcut_conventions():

@@ -48,6 +48,17 @@ from conftest import rand_problem
     dict(seed=0.5),
     dict(sketch_rank=2.5, storage="compressed"),
     dict(sketch_rank=False, storage="compressed"),
+    dict(target_gap="0.1"),
+    dict(target_gap=float("nan")),
+    dict(target_gap=-1.0),
+    dict(target_gap=float("inf")),
+    dict(rho=float("inf")),
+    dict(rho=float("nan")),
+    dict(rho=True),
+    dict(beta="0.5"),
+    dict(beta=float("nan")),
+    dict(check_invariants="no"),
+    dict(check_invariants=1),
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
@@ -63,6 +74,27 @@ def test_config_names_a_non_integer_size_and_accepts_numpy_integers():
     cfg = SolverConfig(rbar=np.int64(2), max_iters=np.int64(3), inner_max_iter=np.int64(60),
                        seed=np.int64(1), storage="compressed", sketch_rank=np.int64(2))
     assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("target_gap", "0.1", "target_gap must be a finite real number"),
+    ("target_gap", float("nan"), "target_gap must be a finite real number"),
+    ("target_gap", -1.0, "target_gap must be nonnegative"),
+    ("rho", float("inf"), "rho must be a finite real number"),
+    ("beta", "0.5", "beta must be a finite real number"),
+    ("beta", False, "beta must be a finite real number"),
+    ("check_invariants", "no", "check_invariants must be a bool"),
+])
+def test_config_names_a_bad_real_or_flag(name, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SolverConfig(**{name: value}).validate()
+
+
+def test_config_accepts_numpy_reals_and_bools():
+    cfg = SolverConfig(beta=np.float64(0.5), rho=np.float32(2.0), target_gap=np.float64(1e-3),
+                       check_invariants=np.bool_(True))
+    assert cfg.validate() is cfg
+    assert SolverConfig(rho=2, target_gap=0).validate().rho == 2
 
 
 def test_descent_test_cases():

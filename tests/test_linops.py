@@ -1,6 +1,9 @@
 """Constraint-map, eigensolve, and orthonormalization checks, each against
 an independent dense oracle."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -313,6 +316,21 @@ def test_top_eigs_sparse_matches_dense():
         assert np.abs(vs - vd).max() <= 1e-12 * np.abs(vd).max()
         assert np.abs(Vs[:, 0] - Vd[:, 0]).max() <= 1e-8
 
+
+
+def test_top_eigs_sparse_frees_its_matrix_without_a_cyclic_collection():
+    # a LinearOperator class made per call sat in reference cycles and kept
+    # each step's slack alive until the cyclic collector ran
+    M = scipy.sparse.random(300, 300, density=0.02, random_state=1, format="csr")
+    M = (M + M.T).tocsr()
+    ref = weakref.ref(M)
+    gc.disable()
+    try:
+        top_eigs(M, 2)
+        del M
+        assert ref() is None
+    finally:
+        gc.enable()
 
 # -- orthonormalization -----------------------------------------------------
 

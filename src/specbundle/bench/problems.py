@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import model
 from ..linops import ConstraintMap, DimensionError
 from ..model import SdpProblem
 
@@ -82,16 +83,20 @@ class GraphInstance:
             raise ValueError("duplicate edges")
         object.__setattr__(self, "edges", np.column_stack([lo, hi, e[:, 2]]))
 
+    def _degrees(self):
+        """Weighted vertex degrees.  Each vertex sums its edges' weights in
+        edge order (the interleaved ``i0, j0, i1, j1, ...`` scatter)."""
+        deg = np.zeros(self.n)
+        np.add.at(deg, self.edges[:, :2].astype(np.intp).ravel(), np.repeat(self.edges[:, 2], 2))
+        return deg
+
     def laplacian(self):
-        """Dense graph Laplacian.  Each diagonal entry sums its edges'
-        weights in edge order (the interleaved ``i0, j0, i1, j1, ...``
-        scatter), and edges are distinct, so every off-diagonal entry is
-        written once."""
+        """Dense graph Laplacian, ``_degrees()`` on the diagonal.  Edges are
+        distinct, so every off-diagonal entry is written once."""
         i, j = self.edges[:, 0].astype(np.intp), self.edges[:, 1].astype(np.intp)
         w = self.edges[:, 2]
         L = np.zeros((self.n, self.n))
-        ends = np.column_stack([i, j]).ravel()
-        np.add.at(L, (ends, ends), np.repeat(w, 2))
+        np.fill_diagonal(L, self._degrees())
         L[i, j] -= w
         L[j, i] -= w
         return L
@@ -168,12 +173,17 @@ def build_maxcut(g, alpha=None):
     """Penalized SDP for the max-cut relaxation of graph ``g``.
 
     Every feasible X has trace exactly n, so the default penalty 2n is
-    twice the nuclear norm of any solution.
+    twice the nuclear norm of any solution.  Above order
+    ``model._SPARSE_ABOVE_N`` the cost C = -L is built as a CSR matrix
+    (``_negated_laplacian_csr``) and no n x n array is formed.
     """
-    C = g.laplacian()
-    np.negative(C, out=C)      # C = -L in the Laplacian's own buffer
     if g.n < 1:
         raise DimensionError(f"matrix order must be positive, got {g.n}")
+    if g.n > model._SPARSE_ABOVE_N:
+        C = _negated_laplacian_csr(g)
+    else:
+        C = g.laplacian()
+        np.negative(C, out=C)      # C = -L in the Laplacian's own buffer
     # constraint i is the single diagonal entry (i, i) with value 1
     amap = ConstraintMap(n=g.n, m=g.n, idx=np.arange(g.n, dtype=np.intp),
                          row=np.arange(g.n, dtype=np.intp),
@@ -182,6 +192,21 @@ def build_maxcut(g, alpha=None):
     if alpha is None:
         alpha = 2.0 * g.n
     return SdpProblem(C=C, A=amap, b=b, alpha=float(alpha))
+
+
+def _negated_laplacian_csr(g):
+    """-L as a canonical CSR matrix holding each edge in both triangles and
+    the whole diagonal, each entry with the bits of ``-g.laplacian()``:
+    an isolated vertex keeps its -0.0, which the slack reads at the
+    diagonal constraint positions."""
+    import scipy.sparse
+
+    i, j = g.edges[:, 0].astype(np.intp), g.edges[:, 1].astype(np.intp)
+    off = -(0.0 - g.edges[:, 2])     # laplacian's 0.0 - w, negated
+    v = np.arange(g.n, dtype=np.intp)
+    return scipy.sparse.csr_matrix(
+        (np.concatenate([off, off, -g._degrees()]),
+         (np.concatenate([i, j, v]), np.concatenate([j, i, v]))), shape=(g.n, g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +309,12 @@ def build_completion(inst, alpha=None):
     """
     d = inst.d
     n = 2 * d
-    C = np.eye(n)
+    if n > model._SPARSE_ABOVE_N:
+        import scipy.sparse
+
+        C = scipy.sparse.identity(n, format="csr")
+    else:
+        C = np.eye(n)
     m = inst.n_obs
     amap = ConstraintMap(n=n, m=m, idx=np.arange(m, dtype=np.intp),
                          row=inst.rows.astype(np.intp), col=(d + inst.cols).astype(np.intp),

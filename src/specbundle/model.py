@@ -19,15 +19,16 @@ variant, matching the constant-trace convention the aggregate analysis
 assumes.
 
 The eigensolve behind F is exact on the dense slack up to order
-``_SPARSE_ABOVE_N``.  Above it ``A* y - C`` is a CSR matrix on a pattern
-built once per problem and the eigensolve is Lanczos, so F(z) can be low
-by the bound ``linops._top_eigs_sparse`` states, and the descent test
-``F(z) <= F(y) - beta * (F(y) - model(z))`` can accept a candidate whose
-true F(z) is above the threshold by as much.
+``_SPARSE_ABOVE_N``.  Above it C is stored as a CSR matrix, ``A* y - C``
+is a CSR matrix on a pattern built once per problem and the eigensolve is
+Lanczos, so F(z) can be low by the bound ``linops._top_eigs_sparse``
+states, and the descent test ``F(z) <= F(y) - beta * (F(y) - model(z))``
+can accept a candidate whose true F(z) is above the threshold by as much.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,35 +48,53 @@ class SdpProblem:
     alpha is the trace penalty; the dual objective below is exact once
     alpha >= 2 * ||X*||_nuclear for some primal solution X*.
 
-    The stored C is ``symmetrize(C)`` bit for bit.  A C-contiguous float64
-    C that it would leave unchanged (bitwise symmetric, every entry at
-    most half the largest double in magnitude, so no sum overflows) is
-    stored without a copy, as a float64 b is: the caller must not mutate
-    either afterwards.  Any other C must be symmetric to an absolute
-    tolerance of ``1e-12 * max(1, max |C_ij|)`` per entry.
+    Up to order ``_SPARSE_ABOVE_N`` the stored C is a dense array,
+    ``symmetrize(C)`` bit for bit (a scipy.sparse C is densified first).
+    A C-contiguous float64 C that it would leave unchanged (bitwise
+    symmetric, every entry at most half the largest double in magnitude,
+    so no sum overflows) is stored without a copy, as a float64 b is: the
+    caller must not mutate either afterwards.  Any other C must be
+    symmetric to an absolute tolerance of ``1e-12 * max(1, max |C_ij|)``
+    per entry.
+
+    Above that order the stored C is a canonical float64 ``csr_matrix``
+    (sorted indices, no duplicates).  A dense C is checked as above and
+    its nonzero entries are stored.  A scipy.sparse C must pass the
+    bitwise and range test as it is; a canonical float64 ``csr_matrix``
+    that does is stored without a copy, sharing its arrays, which the
+    caller must not mutate afterwards.
     """
 
-    C: np.ndarray
+    C: np.ndarray        # a scipy.sparse csr_matrix above _SPARSE_ABOVE_N
     A: ConstraintMap
     b: np.ndarray
     alpha: float
 
     def __post_init__(self):
-        C = np.ascontiguousarray(self.C, dtype=float)
+        n = self.A.n
+        # a sparse C means scipy.sparse is loaded; the dense path never loads it
+        sparse = "scipy.sparse" in sys.modules and sys.modules["scipy.sparse"].issparse(self.C)
+        if sparse and n > _SPARSE_ABOVE_N:
+            C = _checked_csr(self.C, n)
+        else:
+            C = np.ascontiguousarray(self.C.toarray() if sparse else self.C, dtype=float)
+            if C.shape != (n, n):
+                raise DimensionError(f"cost matrix shape {C.shape} does not match map order {n}")
+            # a NaN fails the range test, and -0.0 against +0.0 the bitwise one
+            half = np.finfo(float).max / 2
+            if not (-half <= C.min() and C.max() <= half
+                    and np.array_equal(C.view(np.int64), C.T.view(np.int64))):
+                if not np.allclose(C, C.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(C).max())):
+                    raise ValueError("cost matrix must be symmetric")
+                C = symmetrize(C)
+            if n > _SPARSE_ABOVE_N:
+                import scipy.sparse
+
+                C = scipy.sparse.csr_matrix(C)
         b = np.asarray(self.b, dtype=float)
-        if C.shape != (self.A.n, self.A.n):
-            raise DimensionError(
-                f"cost matrix shape {C.shape} does not match map order {self.A.n}")
         if b.shape != (self.A.m,):
             raise DimensionError(
                 f"right-hand side shape {b.shape} does not match {self.A.m} constraints")
-        # a NaN fails the range test, and -0.0 against +0.0 the bitwise one
-        half = np.finfo(float).max / 2
-        if not (-half <= C.min() and C.max() <= half
-                and np.array_equal(C.view(np.int64), C.T.view(np.int64))):
-            if not np.allclose(C, C.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(C).max())):
-                raise ValueError("cost matrix must be symmetric")
-            C = symmetrize(C)
         if not (self.alpha > 0):
             raise ValueError(f"trace penalty must be positive, got {self.alpha}")
         object.__setattr__(self, "C", C)
@@ -98,17 +117,25 @@ class SdpProblem:
         (row-major, both triangles, the union of C's nonzeros and the
         constraint positions) reads its constraint sum from slot ``src[e]``
         of ``A._position_sums(y)``, or from a zero slot appended after
-        them, and C from ``cvals[e]``.
+        them, and C from ``cvals[e]``, which is C's stored value there
+        (a -0.0 included) or +0.0 where C stores none.
         """
         n = self.n
         keys, mirror, _ = self.A._positions
-        lin = np.union1d(np.flatnonzero(self.C), np.concatenate([keys, mirror]))
+        C = self.C
+        if isinstance(C, np.ndarray):
+            stored, data = np.arange(n * n), C.ravel()
+        else:
+            stored, data = np.repeat(np.arange(n) * n, np.diff(C.indptr)) + C.indices, C.data
+        lin = np.union1d(stored[data != 0], np.concatenate([keys, mirror]))
+        at = np.searchsorted(stored, lin)
+        cvals = np.where(np.append(stored, -1)[at] == lin, np.append(data, 0.0)[at], 0.0)
         rows, cols = np.divmod(lin, n)
         upper = np.minimum(rows, cols) * n + np.maximum(rows, cols)
         pos = np.searchsorted(keys, upper)
         src = np.where(np.append(keys, -1)[pos] == upper, pos, keys.size)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-        return src, self.C.ravel()[lin], cols, indptr
+        return src, cvals, cols, indptr
 
     def dual_slack(self, y):
         """``A* y - C``: the dense ``-A.slack(C, y)`` up to order
@@ -119,15 +146,43 @@ class SdpProblem:
         return np.negative(D, out=D)     # in place: the slack is a fresh array
 
     def _neg_slack_csr(self, y):
-        """``A* y - C`` as a CSR matrix, equal bit for bit to the dense
-        ``-A.slack(C, y)`` on its stored entries (both read the sums of
-        ``ConstraintMap._position_sums``)."""
+        """``A* y - C`` as a CSR matrix, equal bit for bit on its stored
+        entries to the dense ``-A.slack(C, y)`` of C as a dense array (both
+        read the sums of ``ConstraintMap._position_sums``)."""
         import scipy.sparse
 
         src, cvals, indices, indptr = self._slack_pattern
         U = np.append(self.A._position_sums(y), 0.0)
         return scipy.sparse.csr_matrix((-(cvals - U[src]), indices, indptr),
                                        shape=(self.n, self.n))
+
+
+def _checked_csr(C, n):
+    """The scipy.sparse ``C`` as a canonical float64 ``csr_matrix``, the
+    given object when it is one.  Raises unless C is n x n, every stored
+    entry is at most half the largest double in magnitude, and the matrix
+    is bitwise symmetric: the entries whose bits are not those of +0.0,
+    the value of an entry not stored, are the same under transposition."""
+    import scipy.sparse
+
+    if C.shape != (n, n):
+        raise DimensionError(f"cost matrix shape {C.shape} does not match map order {n}")
+    if not (isinstance(C, scipy.sparse.csr_matrix) and C.dtype == np.float64
+            and C.has_canonical_format):
+        C = scipy.sparse.csr_matrix(C, dtype=float, copy=True)
+        C.sum_duplicates()
+    bits = C.data.view(np.int64)
+    keep = bits != 0
+    bits, rows = bits[keep], np.repeat(np.arange(n), np.diff(C.indptr))[keep]
+    cols = C.indices[keep].astype(np.int64)
+    mirror = np.argsort(cols * n + rows)      # row-major order of the transpose
+    # a NaN fails the range test
+    if not (np.abs(C.data).max(initial=0.0) <= np.finfo(float).max / 2
+            and np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)
+            and np.array_equal(bits[mirror], bits)):
+        raise ValueError("sparse cost matrix must be symmetric bit for bit, "
+                         "with every entry at most half the largest double in magnitude")
+    return C
 
 
 def dual_objective(prob, y, slack=None):

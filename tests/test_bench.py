@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
+import specbundle.model as model
 from specbundle import ConstraintMap, DimensionError, SolverConfig, run
 from specbundle.bench import (ReferenceValues, TraceFormatError,
                               build_completion, build_maxcut,
@@ -299,22 +301,34 @@ def _weighted_graph():
                          ids=["unweighted", "weighted", "maxcut-1000-sketch"])
 def test_build_maxcut_cost_is_the_symmetrized_negated_laplacian_bitwise(graph):
     g = graph()
-    assert build_maxcut(g).C.tobytes() == symmetrize(-g.laplacian()).tobytes()
+    C, want = build_maxcut(g).C, symmetrize(-g.laplacian())
+    if g.n <= model._SPARSE_ABOVE_N:
+        assert C.tobytes() == want.tobytes()
+        return
+    # above the order C stores each edge in both triangles and the whole
+    # diagonal, with the dense cost's bits; every other entry is zero
+    S = C.tocoo()
+    assert np.array_equal(S.data.view(np.int64), want[S.row, S.col].view(np.int64))
+    stored = np.zeros(want.shape, dtype=bool)
+    stored[S.row, S.col] = True
+    assert stored.diagonal().all() and stored.sum() == g.n + 2 * len(g.edges)
+    assert not want[~stored].any()
 
 
 def test_build_maxcut_peak_memory_is_about_one_cost_matrix():
-    # the negated Laplacian is built in place and kept without a copy:
-    # about 1.15 C.nbytes at n = 1000 (a boolean n x n array checks the
-    # symmetry), where -L, np.abs(C), the allclose check and symmetrize
-    # took about 5
+    # above the order the cost is built as a CSR matrix from the edges:
+    # 0.64 MB at n = 1000, 8% of one n x n float64 array, where the dense
+    # cost, built in place and kept without a copy, peaked at about 115%
+    # (scipy.sparse is imported at the top of this module, so its import
+    # is not counted)
     g = gen_er_graph(1000, 0.01, 0)
     tracemalloc.start()
     try:
-        prob = build_maxcut(g)
+        build_maxcut(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * prob.C.nbytes
+    assert peak <= 0.1 * 8 * g.n ** 2
 
 
 def test_gset_round_trip_and_comments(tmp_path):
@@ -426,6 +440,27 @@ def test_completion_single_cell_embedding():
     X = np.array([[1.0, 3.0], [3.0, 2.0]])
     # the constraint reads the off-diagonal cell
     assert prob.A.apply(X) == pytest.approx([3.0], abs=0)
+
+
+def test_completion_cost_is_a_sparse_identity_above_the_order():
+    def built(d):
+        inst = CompletionInstance(d=d, rows=np.array([0]), cols=np.array([1]),
+                                  vals=np.array([1.0]))
+        tracemalloc.start()
+        try:
+            prob = build_completion(inst, alpha=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return prob, peak
+
+    # at the order the dense identity stays; above it no n x n array is made
+    prob, _ = built(model._SPARSE_ABOVE_N // 2)
+    assert isinstance(prob.C, np.ndarray) and prob.C.tobytes() == np.eye(prob.n).tobytes()
+    prob, peak = built(model._SPARSE_ABOVE_N // 2 + 1)
+    assert scipy.sparse.issparse(prob.C) and prob.C.nnz == prob.n
+    assert prob.C.toarray().tobytes() == np.eye(prob.n).tobytes()
+    assert peak <= 0.1 * 8 * prob.n ** 2
 
 
 def test_completion_generator_properties():

@@ -4,6 +4,7 @@ step oracle, aggregate bookkeeping, variant equivalences, and the driver."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -604,6 +605,21 @@ def test_invariant_diagnostics_build_no_dense_slack_above_the_threshold(monkeypa
     assert res.stats.iterations == 5 and res.stats.invariants.checked == 5
 
 
+def test_maxcut_at_order_5000_runs_in_a_tenth_of_one_dense_matrix():
+    # set-up and a 3-step compressed solve peaked at 11.2 MB, where one
+    # n x n float64 array is 200 MB
+    g = gen_er_graph(5000, 0.002, 0)
+    tracemalloc.start()
+    try:
+        res = run(build_maxcut(g), SolverConfig(rbar=2, max_iters=3, storage="compressed",
+                                                sketch_rank=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.stats.iterations == 3
+    assert peak < 20e6
+
+
 def test_dense_path_never_loads_scipy_sparse():
     src = os.path.dirname(os.path.dirname(bundle.__file__))
     script = (f"import sys; sys.path.insert(0, {src!r}); "
@@ -629,13 +645,12 @@ def test_failed_lanczos_solve_is_redone_densely_with_a_warning(fault, monkeypatc
         vals, vecs = eigsh(M, k, **kw)
         return vals + 1e-3, vecs          # Ritz values off by far more than the tolerance
 
-    prob = _lanczos_problem()
     cfg = SolverConfig(rbar=2, rho=1.0, max_iters=4)
     with monkeypatch.context() as mp:
         mp.setattr(model, "_SPARSE_ABOVE_N", 10 ** 9)
-        dense = run(prob, cfg)
+        dense = run(_lanczos_problem(), cfg)     # built and solved dense
     monkeypatch.setattr(spla, "eigsh", faulty)
-    res = run(prob, cfg)
+    res = run(_lanczos_problem(), cfg)
     notes = [w for w in res.stats.warnings if "redone densely" in w]
     assert [w.split(":")[0] for w in notes] == [f"iteration {t}" for t in range(5)]
     want = "ARPACK did not converge" if fault == "no_convergence" else "top Ritz residual"

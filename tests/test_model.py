@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import specbundle.bundle as bundle
 import specbundle.model as model
-from specbundle import ConstraintMap, SdpProblem, SolverConfig, sketch_init
+from specbundle import ConstraintMap, DimensionError, SdpProblem, SolverConfig, sketch_init
 from specbundle.bench import build_completion, build_maxcut, gen_completion, gen_er_graph
+from specbundle.bench.problems import GraphInstance
 from specbundle.bundle import init_state, step
 from specbundle.linops import (EigsFallbackWarning, orthonormalize, symmetrize, top_eigs,
                                top_eigval)
@@ -171,6 +173,65 @@ def test_cost_is_stored_as_symmetrize_leaves_it():
         assert stored.flags.c_contiguous and stored.tobytes() == symmetrize(E).tobytes()
 
 
+def _sparse_order_map():
+    n = model._SPARSE_ABOVE_N + 1
+    return ConstraintMap.from_triples(n, [[(0, 0, 1.0)]]), np.array([1.0])
+
+
+def _csr(n, entries):
+    """An n x n csr_matrix holding the (i, j, value) ``entries`` as given."""
+    i, j, v = zip(*entries)
+    return scipy.sparse.csr_matrix((np.array(v, dtype=float), (i, j)), shape=(n, n))
+
+
+def test_sparse_cost_above_the_order_must_be_symmetric_bit_for_bit():
+    amap, b = _sparse_order_map()
+    n = amap.n
+    half = np.finfo(float).max / 2
+    # a stored +0.0 reads as the entry left out, a stored -0.0 does not
+    for good in ([(0, 1, 2.0), (1, 0, 2.0), (2, 2, -0.0)], [(0, 1, 0.0), (3, 3, half)]):
+        SdpProblem(C=_csr(n, good), A=amap, b=b, alpha=1.0)
+    for bad in ([(0, 1, 1.0)], [(0, 1, 1.0), (1, 0, np.nextafter(1.0, 2.0))],
+                [(0, 1, -0.0)], [(0, 0, np.nan)], [(0, 0, np.inf)],
+                [(0, 0, np.nextafter(half, np.inf))]):
+        with pytest.raises(ValueError, match="must be symmetric"):
+            SdpProblem(C=_csr(n, bad), A=amap, b=b, alpha=1.0)
+    with pytest.raises(DimensionError, match="does not match map order"):
+        SdpProblem(C=scipy.sparse.identity(n + 1, format="csr"), A=amap, b=b, alpha=1.0)
+
+
+def test_cost_storage_follows_the_order():
+    amap, b = _sparse_order_map()
+    n = amap.n
+    # a canonical float64 csr_matrix is stored as given; other sparse
+    # forms become one, duplicates summed and the input left as it was
+    C = _csr(n, [(0, 1, 2.0), (1, 0, 2.0)])
+    assert SdpProblem(C=C, A=amap, b=b, alpha=1.0).C is C
+    dup = scipy.sparse.csr_matrix((np.array([1.5, 0.5, 2.0]), np.array([1, 1, 0]),
+                                   np.array([0, 2, 3] + [3] * (n - 2))), shape=(n, n))
+    for given in (dup, C.tocoo(), scipy.sparse.csr_array(C), C.astype(np.float32)):
+        stored = SdpProblem(C=given, A=amap, b=b, alpha=1.0).C
+        assert type(stored) is scipy.sparse.csr_matrix and stored.dtype == np.float64
+        assert stored.has_canonical_format and (stored != C).nnz == 0
+    assert dup.nnz == 3
+    # a dense C above the order is checked and symmetrized as below it and
+    # stored as CSR with its nonzero entries, so its -0.0 is not kept
+    D = np.zeros((n, n))
+    D[0, 1], D[1, 0], D[2, 2] = 1.0, np.nextafter(1.0, 2.0), -0.0
+    stored = SdpProblem(C=D, A=amap, b=b, alpha=1.0).C
+    want = symmetrize(D)
+    want[2, 2] = 0.0
+    assert type(stored) is scipy.sparse.csr_matrix and stored.nnz == 2
+    assert stored.toarray().tobytes() == want.tobytes()
+    # a sparse C at or below the order is stored as its dense array is
+    small = ConstraintMap.from_triples(3, [[(0, 0, 1.0)]])
+    for given in (_csr(3, [(0, 1, 1.0), (1, 0, 1.0), (2, 2, -0.0)]),
+                  _csr(3, [(0, 1, 1.0), (1, 0, np.nextafter(1.0, 2.0))])):
+        stored = SdpProblem(C=given, A=small, b=b, alpha=1.0).C
+        want = SdpProblem(C=given.toarray(), A=small, b=b, alpha=1.0).C
+        assert isinstance(stored, np.ndarray) and stored.tobytes() == want.tobytes()
+
+
 # -- sparse slack and Lanczos eigensolve -----------------------------------
 
 @pytest.mark.parametrize("prob", [
@@ -187,6 +248,35 @@ def test_csr_slack_equals_dense_slack_bitwise(prob):
         off = np.ones(D.shape, dtype=bool)
         off[S.row, S.col] = False
         assert not D[off].any()
+
+
+def _graph_with_an_isolated_vertex():
+    n = model._SPARSE_ABOVE_N + 4
+    g = gen_er_graph(n - 1, 0.02, 1)
+    return GraphInstance(n, g.edges)
+
+
+@pytest.mark.parametrize("graph", [lambda: gen_er_graph(1000, 0.01, 0),
+                                   _graph_with_an_isolated_vertex],
+                         ids=["maxcut-1000-sketch", "isolated-vertex"])
+def test_csr_slack_has_the_bits_of_the_dense_cost_slack(graph):
+    # the CSR slack the Lanczos solve sees, as it was built from the dense
+    # cost -L: the pattern of -L's nonzeros and the diagonal constraints,
+    # and -(C - A* y) on it
+    g = graph()
+    prob = build_maxcut(g)
+    assert scipy.sparse.issparse(prob.C)
+    n, C = g.n, -g.laplacian()
+    lin = np.union1d(np.flatnonzero(C), np.arange(n) * (n + 1))
+    rows, cols = np.divmod(lin, n)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    rng = np.random.default_rng(12)
+    for y in (np.zeros(n), rng.normal(size=n)):
+        D = -prob.A.slack(C, y)
+        want = scipy.sparse.csr_matrix((D.ravel()[lin], cols, indptr), shape=(n, n))
+        got = prob._neg_slack_csr(y)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_csr_slack_checks_y_shape():
@@ -288,7 +378,7 @@ def test_model_value_above_the_threshold_matches_the_dense_formula():
     rng = np.random.default_rng(11)
     V = orthonormalize(rng.normal(size=(prob.n, 3)))
     for y in (np.zeros(prob.m), rng.normal(size=prob.m)):
-        D = -prob.A.slack(prob.C, y)
+        D = -prob.A.slack(prob.C.toarray(), y)
         lam = float(np.linalg.eigvalsh(V.T @ D @ V)[-1])
         assert lam > 0.0
         want = -float(prob.b @ y) + prob.alpha * lam

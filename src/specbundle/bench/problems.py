@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import model
-from ..linops import ConstraintMap, DimensionError
+from ..linops import (INTEGER, NONNEGATIVE, POSITIVE, REAL, ConstraintMap, DimensionError,
+                      check_field)
 from ..model import SdpProblem
 
 
@@ -107,6 +108,8 @@ def triangle_graph():
     return GraphInstance(n=3, edges=np.array([[0, 1, 1.0], [0, 2, 1.0], [1, 2, 1.0]]))
 
 
+# the generators' rule for a probability, (test, want) as ``check_field`` takes them
+_PROBABILITY = (lambda v: 0 <= v <= 1, "in [0, 1]")
 # pairs per draw in gen_er_graph; PCG64 spends one 64-bit output per
 # double, so the chunked draws equal one draw over all pairs
 _ER_CHUNK = 1 << 16
@@ -119,6 +122,8 @@ def gen_er_graph(n, p, seed):
     the k-th uniform of ``default_rng(seed)`` is below p.  The uniforms are
     drawn in chunks and only the hits are kept, so memory is O(edges + n).
     """
+    check_field("n", n, INTEGER, *NONNEGATIVE)
+    check_field("p", p, REAL, *_PROBABILITY)
     rng = np.random.default_rng(seed)
     pairs = n * (n - 1) // 2 if n > 1 else 0
     hits = [np.flatnonzero(rng.random(min(_ER_CHUNK, pairs - k)) < p) + k
@@ -191,7 +196,7 @@ def build_maxcut(g, alpha=None):
     b = np.ones(g.n)
     if alpha is None:
         alpha = 2.0 * g.n
-    return SdpProblem(C=C, A=amap, b=b, alpha=float(alpha))
+    return SdpProblem(C=C, A=amap, b=b, alpha=alpha)
 
 
 def _negated_laplacian_csr(g):
@@ -255,6 +260,9 @@ class CompletionInstance:
 def gen_completion(d=50, rank=3, p_obs=0.3, seed=0):
     """Synthetic instance: M = W W^T with W in {-1, +1}^(d x rank), each of
     the d^2 cells observed independently with probability p_obs."""
+    check_field("d", d, INTEGER, *POSITIVE)
+    check_field("rank", rank, INTEGER, *POSITIVE)
+    check_field("p_obs", p_obs, REAL, *_PROBABILITY)
     rng = np.random.default_rng(seed)
     W = rng.integers(0, 2, size=(d, rank)) * 2.0 - 1.0
     M = W @ W.T
@@ -324,4 +332,4 @@ def build_completion(inst, alpha=None):
             raise ValueError(
                 "alpha can only be derived for synthetic instances; pass it explicitly")
         alpha = 4.0 * inst.nuclear_norm()
-    return SdpProblem(C=C, A=amap, b=inst.vals.copy(), alpha=float(alpha))
+    return SdpProblem(C=C, A=amap, b=inst.vals.copy(), alpha=alpha)

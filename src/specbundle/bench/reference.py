@@ -13,12 +13,11 @@ Two sources, recorded with provenance:
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .traceio import INTEGER, NUMBER, STRING, typed
+from ..linops import INTEGER, NONNEGATIVE, OBJECT, POSITIVE, REAL, STRING, check_field
 
 
 @dataclass
@@ -44,29 +43,20 @@ class ReferenceValues:
     @classmethod
     def from_dict(cls, d):
         """Inverse of ``to_dict``; unknown keys are ignored.  Raises
-        ValueError when ``d`` is not a mapping, lacks a field, holds a field
-        of the wrong type (booleans are not numbers here), a non-finite
-        ``d_star``, ``p_star`` or ``nuc``, or a ``nuc`` that is not positive."""
-        if not isinstance(d, dict):
-            raise ValueError(f"reference values must be a JSON object, "
-                             f"got {type(d).__name__}")
-        names = [f.name for f in fields(cls)]
-        missing = [n for n in names if n not in d]
+        ValueError when ``d`` is not a mapping, lacks a field or holds one
+        that breaks its rule in ``_REFERENCE_RULES``."""
+        check_field("reference values", d, OBJECT)
+        missing = [n for n in _REFERENCE_RULES if n not in d]
         if missing:
             raise ValueError(f"reference values lack {', '.join(missing)}")
-        for name, kind in _FIELD_TYPES.items():
-            typed(d[name], kind, f"reference value {name}")
-        for name in ("d_star", "p_star", "nuc"):
-            if not math.isfinite(d[name]):
-                raise ValueError(f"reference value {name} must be finite, got {d[name]}")
-        if d["nuc"] <= 0:
-            raise ValueError(f"reference value nuc must be positive, got {d['nuc']}")
-        return cls(**{n: d[n] for n in names})
+        for name, rule in _REFERENCE_RULES.items():
+            check_field(f"reference value {name}", d[name], *rule)
+        return cls(**{n: d[n] for n in _REFERENCE_RULES})
 
 
-# the JSON types each field of ReferenceValues accepts
-_FIELD_TYPES = {"d_star": NUMBER, "p_star": NUMBER, "nuc": NUMBER,
-                "rank": INTEGER, "provenance": STRING}
+# each ReferenceValues field's rule, (kind, test, want) as ``check_field`` takes them
+_REFERENCE_RULES = {"d_star": (REAL,), "p_star": (REAL,), "nuc": (REAL, *POSITIVE),
+                    "rank": (INTEGER, *NONNEGATIVE), "provenance": (STRING,)}
 
 
 def rel_gap(value, star):

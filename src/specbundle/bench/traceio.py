@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, fields
 
 import numpy as np
 
-from ..bundle import InvariantReport, IterationRecord
+from ..bundle import InvariantReport, IterationRecord, _CONFIG_RULES
+from ..linops import INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITIVE, REAL, check_field
 
 
 class TraceFormatError(ValueError):
@@ -109,58 +109,34 @@ def write_summary(path, summary):
 
 def read_summary(path):
     """The summary written by ``write_summary``.  Raises ValueError, naming
-    the field, unless the file holds a JSON object with the fields verify
-    reads: ``config.rho > 0``, ``config.beta`` in (0, 1), a positive finite
-    ``alpha_effective`` (the penalty verify checks the run against) and a
-    nonnegative finite ``max_norm_y``, and optionally an ``invariants``
-    object holding every ``InvariantReport`` field."""
+    the field, unless the file holds a JSON object whose fields that verify
+    reads follow the rules below (``config.rho`` and ``config.beta`` those
+    of ``SolverConfig``), with an optional ``invariants`` object holding
+    every ``InvariantReport`` field."""
     with open(path) as fh:
-        summary = json.load(fh)
-    if not isinstance(summary, dict):
-        raise ValueError(f"{path}: summary must be a JSON object, "
-                         f"got {type(summary).__name__}")
+        summary = check_field(f"{path}: summary", json.load(fh), OBJECT)
     conf = _field(path, summary, "config", OBJECT)
-    rho, beta = (_field(path, conf, k, NUMBER, prefix="config.") for k in ("rho", "beta"))
-    alpha, norm_y = (_field(path, summary, k, NUMBER) for k in ("alpha_effective", "max_norm_y"))
-    for name, v, ok, want in (("config.rho", rho, rho > 0, "> 0"),
-                              ("config.beta", beta, 0 < beta < 1, "in (0, 1)"),
-                              ("alpha_effective", alpha, 0 < alpha < math.inf, "finite and > 0"),
-                              ("max_norm_y", norm_y, 0 <= norm_y < math.inf, "finite and >= 0")):
-        if not ok:
-            raise ValueError(f"{path}: summary field {name} must be {want}, got {v!r}")
+    for key in ("rho", "beta"):
+        _field(path, conf, key, *_CONFIG_RULES[key], prefix="config.")
+    _field(path, summary, "alpha_effective", REAL, *POSITIVE)
+    _field(path, summary, "max_norm_y", REAL, *NONNEGATIVE)
     inv = _field(path, summary, "invariants", OBJECT, required=False)
     if inv is not None:
         for f in fields(InvariantReport):
-            kind = INTEGER if f.name == "checked" else NUMBER
-            _field(path, inv, f.name, kind, prefix="invariants.")
+            _field(path, inv, f.name, INTEGER if f.name == "checked" else NUMBER,
+                   prefix="invariants.")
     return summary
 
 
-def _field(path, obj, key, kind, prefix="", required=True):
-    """``typed(obj[key])``, or None if it is absent or null and not
-    required; ValueError naming the field otherwise."""
+def _field(path, obj, key, kind, ok=None, want="", prefix="", required=True):
+    """``check_field`` on ``obj[key]``, or None if it is absent or null and
+    not required; ValueError naming the field otherwise."""
     v = obj.get(key)
     if v is None:
         if required:
             raise ValueError(f"{path}: summary lacks {prefix}{key}")
         return None
-    return typed(v, kind, f"{path}: summary field {prefix}{key}")
-
-
-# JSON types that ``typed`` checks a file's field against: (Python types, description)
-NUMBER = ((int, float), "a number")
-INTEGER = (int, "an integer")
-STRING = (str, "a string")
-OBJECT = (dict, "a JSON object")
-
-
-def typed(v, kind, name):
-    """``v`` if it is of ``kind`` (booleans are not numbers); otherwise a
-    ValueError reading "<name> must be <description>, got <v>"."""
-    types, what = kind
-    if isinstance(v, bool) or not isinstance(v, types):
-        raise ValueError(f"{name} must be {what}, got {v!r}")
-    return v
+    return check_field(f"{path}: summary field {prefix}{key}", v, kind, ok, want)
 
 
 def _jsonable(obj):

@@ -29,13 +29,12 @@ compared only by ``_record_distance``.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linops import _eigh, orthonormalize, recorded_fallbacks, symmetrize
+from .linops import (BOOL, INTEGER, NONNEGATIVE, POSITIVE, REAL, STRING, _eigh, check_field,
+                     orthonormalize, recorded_fallbacks, symmetrize)
 from .model import (Aggregate, dual_objective, model_value,
                     objective_with_spectrum, simple_model_value, zero_aggregate)
 from .sketch import (LowRankFactors, SketchState, sketch_init, sketch_reconstruct,
@@ -43,7 +42,23 @@ from .sketch import (LowRankFactors, SketchState, sketch_init, sketch_reconstruc
 from .subproblem import solve_subproblem
 
 _VARIANTS = ("block", "hr", "hybrid")
+_STORAGES = ("explicit", "compressed")
 _TRACE_FLOOR = 1e-12
+# each SolverConfig field's rule, (kind, test, want) as ``check_field`` takes
+# them; read_summary checks a summary's config.rho and config.beta by them
+_CONFIG_RULES = {
+    "variant": (STRING, lambda v: v in _VARIANTS, f"one of {_VARIANTS}"),
+    "beta": (REAL, lambda v: 0 < v < 1, "in (0, 1)"),
+    "rho": (REAL, *POSITIVE),
+    "rbar": (INTEGER, *POSITIVE),
+    "max_iters": (INTEGER, *POSITIVE),
+    "inner_max_iter": (INTEGER, *POSITIVE),
+    "storage": (STRING, lambda v: v in _STORAGES, f"one of {_STORAGES}"),
+    "sketch_rank": (INTEGER, *POSITIVE),
+    "target_gap": (REAL, *NONNEGATIVE),
+    "seed": (INTEGER, *NONNEGATIVE),
+    "check_invariants": (BOOL, None, ""),
+}
 
 
 @dataclass
@@ -69,39 +84,13 @@ class SolverConfig:
     check_invariants: bool = False
 
     def validate(self):
-        sizes = ("rbar", "max_iters", "inner_max_iter", "seed")
-        for name in sizes + (("sketch_rank",) if self.sketch_rank is not None else ()):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {_VARIANTS}")
-        for name in ("beta", "rho", "target_gap"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ValueError(f"{name} must be a finite real number, got {v!r}")
-        if self.target_gap < 0:
-            raise ValueError(f"target_gap must be nonnegative, got {self.target_gap}")
-        if not isinstance(self.check_invariants, (bool, np.bool_)):
-            raise ValueError(f"check_invariants must be a bool, got {self.check_invariants!r}")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"descent parameter must lie in (0,1), got {self.beta}")
-        if not (self.rho > 0):
-            raise ValueError(f"proximal weight must be positive, got {self.rho}")
-        if self.rbar < 1:
-            raise ValueError(f"bundle size must be at least 1, got {self.rbar}")
-        if self.storage not in ("explicit", "compressed"):
-            raise ValueError(f"unknown storage mode {self.storage!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.inner_max_iter < 1:
-            raise ValueError(f"inner_max_iter must be positive, got {self.inner_max_iter}")
+        """``self``, or a ValueError naming the first field that breaks its
+        rule in ``_CONFIG_RULES`` or gives a sketch_rank to explicit storage."""
+        for name, rule in _CONFIG_RULES.items():
+            if name != "sketch_rank" or self.sketch_rank is not None:
+                check_field(name, getattr(self, name), *rule)
         if self.sketch_rank is not None and self.storage != "compressed":
             raise ValueError("sketch_rank applies only to compressed storage")
-        if self.sketch_rank is not None and self.sketch_rank < 1:
-            raise ValueError(f"sketch_rank must be positive, got {self.sketch_rank}")
         return self
 
 

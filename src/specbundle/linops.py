@@ -10,6 +10,9 @@ kept exactly symmetric by construction.
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
+import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
@@ -30,6 +33,31 @@ class RankError(ValueError):
 
 class EigsFallbackWarning(RuntimeWarning):
     """A Lanczos eigensolve was redone densely (see ``_top_eigs_sparse``)."""
+
+
+# the kinds of scalar ``check_field`` tells apart: (types, description)
+INTEGER = (numbers.Integral, "an integer")
+REAL = (numbers.Real, "a finite real number")
+NUMBER = (numbers.Real, "a number")
+STRING = (str, "a string")
+OBJECT = (dict, "a JSON object")
+BOOL = ((bool, np.bool_), "a bool")
+# the two tests ``check_field`` is most often given: (test, want)
+POSITIVE = (lambda v: v > 0, "positive")
+NONNEGATIVE = (lambda v: v >= 0, "nonnegative")
+
+
+def check_field(name, value, kind, ok=None, want=""):
+    """``value`` if it is of ``kind`` (a bool only of BOOL, a REAL finite)
+    and passes ``ok``; else a ValueError reading "<name> must be <kind's
+    description, or want>, got <value>"."""
+    types, what = kind
+    if (not isinstance(value, types) or isinstance(value, bool) and kind is not BOOL
+            or kind is REAL and not -math.inf < value < math.inf):
+        raise ValueError(f"{name} must be {what}, got {reprlib.repr(value)}")
+    if ok is not None and not ok(value):
+        raise ValueError(f"{name} must be {want}, got {reprlib.repr(value)}")
+    return value
 
 
 # the residual gate of ``_top_eigs_sparse``

@@ -34,7 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linops import ConstraintMap, DimensionError, _eigh, symmetrize, top_eigs, top_eigval
+from .linops import (POSITIVE, REAL, ConstraintMap, DimensionError, _eigh, check_field, symmetrize,
+                     top_eigs, top_eigval)
 from .sketch import SketchState
 
 # above this order the objective's eigensolve runs Lanczos on a CSR slack
@@ -95,8 +96,7 @@ class SdpProblem:
         if b.shape != (self.A.m,):
             raise DimensionError(
                 f"right-hand side shape {b.shape} does not match {self.A.m} constraints")
-        if not (self.alpha > 0):
-            raise ValueError(f"trace penalty must be positive, got {self.alpha}")
+        check_field("alpha", self.alpha, REAL, *POSITIVE)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "alpha", float(self.alpha))

@@ -4,6 +4,7 @@ checks, and the command-line front end."""
 import csv
 import hashlib
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -128,6 +129,20 @@ def test_er_generator_empty_draws_match_the_oracle():
         assert _er_all_pairs(n, p, 0).shape[0] == 0
         with pytest.raises(ValueError, match="came out empty"):
             gen_er_graph(n, p, 0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: gen_er_graph(-1, 0.5, 0), "n must be nonnegative"),
+    (lambda: gen_er_graph(5.0, 0.5, 0), "n must be an integer"),
+    (lambda: gen_er_graph(5, True, 0), "p must be a finite real number"),
+    (lambda: gen_er_graph(5, 1.5, 0), "p must be in [0, 1]"),
+    (lambda: gen_completion(d=0), "d must be positive"),
+    (lambda: gen_completion(rank=0), "rank must be positive"),
+    (lambda: gen_completion(p_obs=float("nan")), "p_obs must be a finite real number"),
+])
+def test_generators_name_a_bad_parameter(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call()
 
 
 def test_er_generator_large_draw_is_pinned_and_small():
@@ -413,7 +428,7 @@ def test_reference_values_from_dict():
     for name, bad in (("d_star", "x"), ("nuc", None), ("p_star", True),
                       ("rank", 2.0), ("provenance", 3), ("d_star", float("nan")),
                       ("p_star", -float("inf")), ("nuc", float("nan")), ("nuc", float("inf")),
-                      ("nuc", 0), ("nuc", -3.0)):
+                      ("nuc", 0), ("nuc", -3.0), ("rank", -3)):
         with pytest.raises(ValueError, match=f"reference value {name} must be"):
             ReferenceValues.from_dict({**refs.to_dict(), name: bad})
     # the committed benchmark references, whose nuclear norm is n, still load
@@ -920,6 +935,17 @@ def test_cli_usage_errors_exit_two(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--problem", "maxcut", "--gen", "triangle", "--alpha", "inf"],
+     "alpha must be a finite real number, got inf"),
+    (["--problem", "completion", "--gen", "d=5,rank=0"], "rank must be positive, got 0"),
+    (["--problem", "maxcut", "--gen", "er,n=20,p=nan"], "p must be a finite real number, got nan"),
+], ids=["alpha-inf", "completion-rank-zero", "er-p-nan"])
+def test_cli_solve_names_a_bad_penalty_or_generator_parameter(argv, message, capsys):
+    assert main(["solve", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_verify_without_refs_exits_two(tmp_path, capsys):
     trace = tmp_path / "t.csv"
     summary = tmp_path / "s.json"
@@ -1001,13 +1027,14 @@ def _drop(outer, key):
     (_set("config", "beta", 1.0), "config.beta"),
     (_set("config", "rho", 0.0), "config.rho"),
     (_set("config", "rho", float("nan")), "config.rho"),
+    (_set("config", "rho", float("inf")), "config.rho"),
     (_set("alpha_effective", -1.0), "alpha_effective"),
     (_set("alpha_effective", float("inf")), "alpha_effective"),
     (_set("max_norm_y", -1.0), "max_norm_y"),
     (_set("max_norm_y", float("nan")), "max_norm_y"),
 ], ids=["config-list", "invariants-list", "rho-string", "max-norm-y-string",
         "invariants-without-model-minus-f", "membership-err-string",
-        "without-alpha-effective", "beta-zero", "beta-one", "rho-zero", "rho-nan",
+        "without-alpha-effective", "beta-zero", "beta-one", "rho-zero", "rho-nan", "rho-inf",
         "alpha-negative", "alpha-inf", "max-norm-y-negative", "max-norm-y-nan"])
 def test_cli_verify_malformed_summary_field_exits_two(tmp_path, capsys, edit, field):
     rc, trace, summary = _solve_triangle(tmp_path)

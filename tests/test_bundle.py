@@ -2,6 +2,7 @@
 step oracle, aggregate bookkeeping, variant equivalences, and the driver."""
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -85,9 +86,23 @@ def test_config_names_a_non_integer_size_and_accepts_numpy_integers():
     ("beta", "0.5", "beta must be a finite real number"),
     ("beta", False, "beta must be a finite real number"),
     ("check_invariants", "no", "check_invariants must be a bool"),
+    ("variant", "bogus", "variant must be one of ('block', 'hr', 'hybrid')"),
+    ("variant", 3, "variant must be a string"),
+    ("storage", "disk", "storage must be one of ('explicit', 'compressed')"),
+    ("beta", 0.0, "beta must be in (0, 1)"),
+    ("beta", 1.0, "beta must be in (0, 1)"),
+    ("rho", 0.0, "rho must be positive"),
+    ("rho", -1.0, "rho must be positive"),
+    ("rbar", 0, "rbar must be positive"),
+    ("max_iters", 0, "max_iters must be positive"),
+    ("inner_max_iter", 0, "inner_max_iter must be positive"),
+    ("sketch_rank", 0, "sketch_rank must be positive"),
+    ("sketch_rank", 2.0, "sketch_rank must be an integer"),
+    ("seed", -1, "seed must be nonnegative"),
 ])
 def test_config_names_a_bad_real_or_flag(name, value, message):
-    with pytest.raises(ValueError, match=f"^{message}"):
+    # every rule of SolverConfig's table names its field first
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
         SolverConfig(**{name: value}).validate()
 
 

@@ -145,6 +145,16 @@ def test_problem_validation():
             SdpProblem(C=np.array(bad), A=amap, b=np.array([1.0]), alpha=1.0)
 
 
+@pytest.mark.parametrize("alpha,want", [
+    (float("inf"), "a finite real number"), (float("nan"), "a finite real number"),
+    (True, "a finite real number"), ("2", "a finite real number"), (0, "positive"),
+])
+def test_problem_names_a_bad_penalty(alpha, want):
+    # refused by name when the problem is built, before any eigensolve sees it
+    with pytest.raises(ValueError, match=f"^alpha must be {want}, got"):
+        build_maxcut(GraphInstance(n=3, edges=np.array([[0, 1, 1.0]])), alpha=alpha)
+
+
 def test_cost_is_stored_as_symmetrize_leaves_it():
     amap = ConstraintMap.from_triples(3, [[(0, 0, 1.0)]])
     b = np.array([1.0])

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from ..bundle import SolverConfig, run
+from ..bundle import _VARIANTS, SolverConfig, run
 from .problems import (ParseError, build_completion, build_maxcut,
                        gen_completion, gen_er_graph, read_gset,
                        read_observations, triangle_graph)
@@ -143,6 +143,10 @@ def _solve_and_record(prob, cfg, refs, label, trace=None, summary=None):
     return result, elapsed, metrics
 
 
+# the solver flags' defaults
+_DEFAULT = SolverConfig()
+
+
 def _add_instance_flags(p):
     p.add_argument("--problem", required=True, choices=("maxcut", "completion"))
     p.add_argument("--input", help="instance file (edge list or observation CSV)")
@@ -153,12 +157,12 @@ def _add_instance_flags(p):
 
 
 def _add_solver_flags(p):
-    p.add_argument("--rho", type=float, default=1.0, help="proximal weight")
-    p.add_argument("--beta", type=float, default=0.25, help="descent parameter")
-    p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--inner-max-iter", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-gap", type=float, default=0.0,
+    p.add_argument("--rho", type=float, default=_DEFAULT.rho, help="proximal weight")
+    p.add_argument("--beta", type=float, default=_DEFAULT.beta, help="descent parameter")
+    p.add_argument("--max-iters", type=int, default=_DEFAULT.max_iters)
+    p.add_argument("--inner-max-iter", type=int, default=_DEFAULT.inner_max_iter)
+    p.add_argument("--seed", type=int, default=_DEFAULT.seed)
+    p.add_argument("--target-gap", type=float, default=_DEFAULT.target_gap,
                    help="stop once the combined optimality metric drops below this")
     p.add_argument("--check-invariants", action="store_true",
                    help="record model dominance and membership slacks while solving")
@@ -274,8 +278,8 @@ def build_parser():
 
     p = sub.add_parser("solve", help="run the solver on one instance")
     _add_instance_flags(p)
-    p.add_argument("--variant", default="block", choices=("block", "hr", "hybrid"))
-    p.add_argument("--rbar", type=int, default=1, help="bundle size")
+    p.add_argument("--variant", default=_DEFAULT.variant, choices=_VARIANTS)
+    p.add_argument("--rbar", type=int, default=_DEFAULT.rbar, help="bundle size")
     _add_solver_flags(p)
     p.add_argument("--sketch", default="off",
                    help="sketch rank for compressed primal tracking, or 'off'")

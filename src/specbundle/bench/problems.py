@@ -124,13 +124,15 @@ def gen_er_graph(n, p, seed):
     """
     check_field("n", n, INTEGER, *NONNEGATIVE)
     check_field("p", p, REAL, *_PROBABILITY)
+    check_field("seed", seed, INTEGER, *NONNEGATIVE)
     rng = np.random.default_rng(seed)
     pairs = n * (n - 1) // 2 if n > 1 else 0
     hits = [np.flatnonzero(rng.random(min(_ER_CHUNK, pairs - k)) < p) + k
             for k in range(0, pairs, _ER_CHUNK)]
     k = np.concatenate(hits) if hits else np.zeros(0, dtype=np.intp)
     if k.size == 0:
-        raise ValueError(f"G({n}, {p}) draw came out empty; pick a denser graph")
+        why = "with n < 2 there is no vertex pair" if n < 2 else "pick a denser graph"
+        raise ValueError(f"G({n}, {p}) draw came out empty; {why}")
     r = np.arange(n - 1)
     starts = r * n - r * (r + 1) // 2      # linear index of pair (r, r + 1)
     i = np.searchsorted(starts, k, side="right") - 1
@@ -263,6 +265,7 @@ def gen_completion(d=50, rank=3, p_obs=0.3, seed=0):
     check_field("d", d, INTEGER, *POSITIVE)
     check_field("rank", rank, INTEGER, *POSITIVE)
     check_field("p_obs", p_obs, REAL, *_PROBABILITY)
+    check_field("seed", seed, INTEGER, *NONNEGATIVE)
     rng = np.random.default_rng(seed)
     W = rng.integers(0, 2, size=(d, rank)) * 2.0 - 1.0
     M = W @ W.T

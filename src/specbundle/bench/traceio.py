@@ -1,12 +1,11 @@
 """Persisted run artifacts: per-iteration CSV trace and JSON summary.
 
-The trace carries one row per iteration with fixed columns
-
-    t, F_y, F_z, Fbar_z, descent, feas, lammin, pval, dval, step,
-    gap1..gapN, inner_res
-
-where N is the configured bundle size.  Floats are written with 17
-significant digits so a parsed trace reproduces the run bitwise.
+The trace carries one row per iteration, whose columns are the fields of
+``IterationRecord`` in order; its tuple field ``gaps`` spreads over one
+column per entry, ``gap1..gapN``, where N is the configured bundle size.
+Integer and bool fields are written as integers, the rest with 17
+significant digits, so a parsed trace reproduces the run bitwise.  The
+summary's run fields are those of ``RunStats``.
 """
 
 from __future__ import annotations
@@ -14,39 +13,57 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, fields
+from itertools import islice
+from typing import get_type_hints
 
 import numpy as np
 
 from ..bundle import InvariantReport, IterationRecord, _CONFIG_RULES
 from ..linops import INTEGER, NONNEGATIVE, NUMBER, OBJECT, POSITIVE, REAL, check_field
 
+# (name, type) of each IterationRecord field, in column order
+_COLUMNS = [(f.name, get_type_hints(IterationRecord)[f.name]) for f in fields(IterationRecord)]
+
 
 class TraceFormatError(ValueError):
     """Trace file does not match the expected column layout."""
 
 
-def _fmt(x):
-    return format(float(x), ".17g")
+def _cells(kind, value):
+    """A field's CSV cells: integers for int and bool, else 17-digit floats."""
+    if kind in (int, bool):
+        return [int(value)]
+    return [format(float(v), ".17g") for v in (value if kind is tuple else [value])]
+
+
+def _parse(kind, cells):
+    """The field of type ``kind`` written as ``cells`` by ``_cells``."""
+    if kind is tuple:
+        return tuple(float(c) for c in cells)
+    return kind(int(cells[0])) if kind in (int, bool) else float(cells[0])
 
 
 def trace_header(rbar):
-    gaps = [f"gap{r}" for r in range(1, rbar + 1)]
-    return ["t", "F_y", "F_z", "Fbar_z", "descent", "feas", "lammin",
-            "pval", "dval", "step", *gaps, "inner_res"]
+    """The column names: each field's, a tuple field's by its singular
+    with the entry number (gap1..gap<rbar>)."""
+    return [col for name, kind in _COLUMNS
+            for col in ([f"{name[:-1]}{r}" for r in range(1, rbar + 1)]
+                        if kind is tuple else [name])]
 
 
 def write_trace(path, records, rbar):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(trace_header(rbar))
-        for rec in records:
-            if len(rec.gaps) != rbar:
-                raise TraceFormatError(
-                    f"record {rec.t} carries {len(rec.gaps)} gaps, header promises {rbar}")
-            w.writerow([rec.t, _fmt(rec.F_y), _fmt(rec.F_z), _fmt(rec.Fbar_z),
-                        int(rec.descent), _fmt(rec.feas), _fmt(rec.lammin),
-                        _fmt(rec.pval), _fmt(rec.dval), _fmt(rec.step),
-                        *[_fmt(g) for g in rec.gaps], _fmt(rec.inner_res)])
+        for k, rec in enumerate(records, start=1):
+            row = []
+            for name, kind in _COLUMNS:
+                value = getattr(rec, name)
+                if kind is tuple and len(value) != rbar:
+                    raise TraceFormatError(
+                        f"record {k} carries {len(value)} {name}, header promises {rbar}")
+                row += _cells(kind, value)
+            w.writerow(row)
 
 
 def read_trace(path):
@@ -66,14 +83,11 @@ def read_trace(path):
         if len(row) != len(header):
             raise TraceFormatError(
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        cells = iter(row)
         try:
-            records.append(IterationRecord(
-                t=int(row[0]), F_y=float(row[1]), F_z=float(row[2]),
-                Fbar_z=float(row[3]), descent=bool(int(row[4])),
-                feas=float(row[5]), lammin=float(row[6]), pval=float(row[7]),
-                dval=float(row[8]), step=float(row[9]),
-                gaps=tuple(float(g) for g in row[10:10 + ngap]),
-                inner_res=float(row[10 + ngap])))
+            records.append(IterationRecord(**{
+                name: _parse(kind, list(islice(cells, ngap if kind is tuple else 1)))
+                for name, kind in _COLUMNS}))
         except ValueError as exc:
             raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
     return records, ngap
@@ -83,19 +97,13 @@ def summary_dict(cfg, result, refs=None, metrics=None, problem_label="", *,
                  alpha_effective):
     """JSON-ready summary of a run: config echo, penalty, stopping data,
     telemetry; ``metrics`` is ``reference.compute_metrics``'s object."""
-    inv = result.stats.invariants
     return {
         "problem": problem_label,
         "alpha_effective": alpha_effective,
         "config": asdict(cfg),
         "seed": cfg.seed,
-        "iterations": result.stats.iterations,
-        "descent_steps": result.stats.descent_steps,
-        "stop_reason": result.stats.stop_reason,
-        "max_norm_y": result.stats.max_norm_y,
+        **asdict(result.stats),
         "final_objective": result.state.F_y,
-        "warnings": list(result.stats.warnings),
-        "invariants": inv.as_dict() if inv is not None else None,
         "refs": refs.to_dict() if refs is not None else None,
         "metrics": metrics,
     }
@@ -103,7 +111,7 @@ def summary_dict(cfg, result, refs=None, metrics=None, problem_label="", *,
 
 def write_summary(path, summary):
     with open(path, "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, default=_numpy_to_json)
         fh.write("\n")
 
 
@@ -139,13 +147,9 @@ def _field(path, obj, key, kind, ok=None, want="", prefix="", required=True):
     return check_field(f"{path}: summary field {prefix}{key}", v, kind, ok, want)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+def _numpy_to_json(obj):
+    """``json.dump``'s hook for what it cannot write: a numpy scalar or
+    array as its ``tolist()``."""
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

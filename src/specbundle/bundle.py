@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .linops import (BOOL, INTEGER, NONNEGATIVE, POSITIVE, REAL, STRING, _eigh, check_field,
-                     orthonormalize, recorded_fallbacks, symmetrize)
+                     check_finite, orthonormalize, recorded_fallbacks, symmetrize)
 from .model import (Aggregate, dual_objective, model_value,
                     objective_with_spectrum, simple_model_value, zero_aggregate)
 from .sketch import (LowRankFactors, SketchState, sketch_init, sketch_reconstruct,
@@ -159,6 +159,7 @@ def init_state(prob, cfg, y0=None):
     y0 = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y0.shape != (m,):
         raise ValueError(f"initial point must have shape {(m,)}, got {y0.shape}")
+    check_finite("y0", y0)
     width = min(cfg.rbar, prob.n)
     F0, vals, vecs = objective_with_spectrum(prob, y0, width)
     X = None

@@ -60,6 +60,15 @@ def check_field(name, value, kind, ok=None, want=""):
     return value
 
 
+def check_finite(name, a):
+    """A ValueError reading "<name>[k] must be a finite real number, got
+    <a[k]>" at the first non-finite entry k of the float array ``a``."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"{name}[{k}] must be a finite real number, got {a[k]}")
+
+
 # the residual gate of ``_top_eigs_sparse``
 _EIGSH_RES_TOL = 1e-10
 
@@ -103,6 +112,29 @@ class ConstraintMap:
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
+
+    def __post_init__(self):
+        """Refuse in O(nnz) what the methods would misread: arrays of unequal
+        length, non-integer indices, and (naming the first) an entry outside
+        the m constraints or order-n matrix, below the diagonal or non-finite."""
+        for name in ("idx", "row", "col", "val"):
+            a = np.asarray(getattr(self, name), dtype=float if name == "val" else None)
+            if a.ndim != 1 or a.shape != np.shape(self.idx):
+                raise DimensionError("constraint map idx, row, col and val must be "
+                                     "1-D arrays of one length")
+            if name != "val" and a.dtype.kind not in "iu":
+                raise ValueError(f"constraint map {name} must hold integers, got {a.dtype}")
+            object.__setattr__(self, name, a)
+        idx, row, col, val, m, n = self.idx, self.row, self.col, self.val, self.m, self.n
+        bad = (idx < 0) | (idx >= m) | (row < 0) | (col >= n) | (row > col) | ~np.isfinite(val)
+        if bad.any():
+            k = int(np.argmax(bad))
+            i, r, c, v = idx[k], row[k], col[k], val[k]
+            why = (f"constraint index outside [0, {m})" if not 0 <= i < m
+                   else f"coordinate outside the order-{n} matrix" if r < 0 or c >= n
+                   else "below the diagonal (row > col)" if r > c else "value is not finite")
+            raise ValueError(f"constraint map entry {k} (constraint {i}, ({r}, {c}), "
+                             f"value {v}): {why}")
 
     @classmethod
     def from_triples(cls, n, triples):

@@ -34,8 +34,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linops import (POSITIVE, REAL, ConstraintMap, DimensionError, _eigh, check_field, symmetrize,
-                     top_eigs, top_eigval)
+from .linops import (POSITIVE, REAL, ConstraintMap, DimensionError, _eigh, check_field,
+                     check_finite, symmetrize, top_eigs, top_eigval)
 from .sketch import SketchState
 
 # above this order the objective's eigensolve runs Lanczos on a CSR slack
@@ -96,6 +96,7 @@ class SdpProblem:
         if b.shape != (self.A.m,):
             raise DimensionError(
                 f"right-hand side shape {b.shape} does not match {self.A.m} constraints")
+        check_finite("b", b)
         check_field("alpha", self.alpha, REAL, *POSITIVE)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "b", b)

@@ -139,6 +139,11 @@ def test_er_generator_empty_draws_match_the_oracle():
     (lambda: gen_completion(d=0), "d must be positive"),
     (lambda: gen_completion(rank=0), "rank must be positive"),
     (lambda: gen_completion(p_obs=float("nan")), "p_obs must be a finite real number"),
+    (lambda: gen_er_graph(5, 0.5, -1), "seed must be nonnegative, got -1"),
+    (lambda: gen_er_graph(5, 0.5, 1.5), "seed must be an integer, got 1.5"),
+    (lambda: gen_completion(seed=-2), "seed must be nonnegative, got -2"),
+    (lambda: gen_er_graph(1, 0.5, 0),
+     "G(1, 0.5) draw came out empty; with n < 2 there is no vertex pair"),
 ])
 def test_generators_name_a_bad_parameter(call, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -627,13 +632,7 @@ def test_trace_round_trip_bitwise(tmp_path):
     write_trace(str(path), res.records, cfg.rbar)
     back, rbar = read_trace(str(path))
     assert rbar == cfg.rbar
-    assert len(back) == len(res.records)
-    for a, b in zip(res.records, back):
-        assert a.t == b.t and a.descent == b.descent
-        for f in ("F_y", "F_z", "Fbar_z", "feas", "lammin", "pval", "dval",
-                  "step", "inner_res"):
-            assert getattr(a, f) == getattr(b, f)
-        assert a.gaps == b.gaps
+    assert back == res.records
 
 
 def test_trace_gap_count_mismatch(tmp_path):
@@ -674,6 +673,22 @@ def test_summary_round_trip(tmp_path):
     assert back["invariants"]["checked"] == res.stats.iterations
     assert back["refs"]["d_star"] == refs.d_star
     assert back["metrics"]["dual_opt"] == metrics["dual_opt"]
+
+
+def test_summary_writes_numpy_values(tmp_path):
+    # a numpy bool passes SolverConfig.validate, and json.dump alone refuses it
+    prob = build_maxcut(triangle_graph())
+    cfg = SolverConfig(rbar=2, max_iters=3, check_invariants=np.True_).validate()
+    res = run(prob, cfg)
+    path = tmp_path / "summary.json"
+    write_summary(str(path), {**summary_dict(cfg, res, alpha_effective=prob.alpha),
+                              "metrics": {"gaps": np.array([0.5, 2.0]), "rank": np.int64(3)}})
+    back = read_summary(str(path))
+    assert back["config"]["check_invariants"] is True
+    assert back["invariants"]["checked"] == 3
+    assert back["metrics"] == {"gaps": [0.5, 2.0], "rank": 3}
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        write_summary(str(path), {"x": object()})
 
 
 # -- verification -----------------------------------------------------------------
@@ -929,6 +944,8 @@ def test_cli_plotdata_rows(tmp_path, capsys):
     ["solve", "--problem", "maxcut", "--gen", "triangle", "--save-ref", "ref.json"],
     ["plotdata", "--trace", "t.csv", "--ref", "ref.json", "--d-star", "1.0"],
     ["solve", "--problem", "maxcut", "--gen", "er,n=30,weight=2"],
+    ["solve", "--problem", "maxcut", "--gen", "er,n=20,seed=-1"],
+    ["solve", "--problem", "completion", "--gen", "d=5,seed=-2"],
 ])
 def test_cli_usage_errors_exit_two(argv, capsys):
     assert main(argv) == 2

@@ -139,6 +139,14 @@ def test_init_state_basics():
         init_state(prob, cfg, y0=np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_run_names_a_non_finite_start(bad):
+    # refused by name before the first eigensolve sees it
+    prob = rand_problem(np.random.default_rng(0), n=6, m=4)
+    with pytest.raises(ValueError, match=rf"^y0\[2\] must be a finite real number, got {bad}$"):
+        run(prob, SolverConfig(max_iters=2), y0=np.array([0.0, 1.0, bad, 0.0]))
+
+
 # -- scripted scalar-problem step oracle --------------------------------------
 
 def _scalar_setup(a=1.5, c=-0.8, b0=1.0, alpha=3.0, y0=0.4, xbar=0.6):

@@ -2,6 +2,7 @@
 an independent dense oracle."""
 
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -194,6 +195,50 @@ def test_map_construction_errors():
         amap.apply(np.zeros((2, 2)))
     with pytest.raises(DimensionError):
         amap.adjoint(np.zeros(2))
+
+
+def _entries(**changed):
+    """Arrays of a valid order-402, two-constraint map, with ``changed``."""
+    arrays = dict(idx=np.array([0, 1, 1]), row=np.array([0, 3, 4]), col=np.array([0, 5, 4]),
+                  val=np.array([1.0, 2.0, 3.0]))
+    return {**arrays, **changed}
+
+
+@pytest.mark.parametrize("changed,message", [
+    # n = 402 is above the CSR-slack order, whose pattern drops an entry below the diagonal
+    (dict(row=np.array([0, 5, 4]), col=np.array([0, 3, 4])),
+     "entry 1 (constraint 1, (5, 3), value 2.0): below the diagonal (row > col)"),
+    (dict(idx=np.array([0, 1, 2])), "entry 2 (constraint 2, (4, 4), value 3.0): "
+     "constraint index outside [0, 2)"),
+    (dict(idx=np.array([-1, 1, 1])), "entry 0 (constraint -1, (0, 0), value 1.0): "
+     "constraint index outside [0, 2)"),
+    (dict(col=np.array([0, 402, 4])), "entry 1 (constraint 1, (3, 402), value 2.0): "
+     "coordinate outside the order-402 matrix"),
+    (dict(row=np.array([-1, 3, 4])), "entry 0 (constraint 0, (-1, 0), value 1.0): "
+     "coordinate outside the order-402 matrix"),
+    (dict(val=np.array([1.0, 2.0, np.nan])), "entry 2 (constraint 1, (4, 4), value nan): "
+     "value is not finite"),
+    (dict(val=np.array([np.inf, 2.0, 3.0])), "entry 0 (constraint 0, (0, 0), value inf): "
+     "value is not finite"),
+    (dict(row=np.array([0.0, 3.0, 4.0])), "row must hold integers, got float64"),
+    (dict(idx=np.array([True, False, False])), "idx must hold integers, got bool"),
+    (dict(val=np.array([1.0])), "idx, row, col and val must be 1-D arrays of one length"),
+    (dict(idx=np.zeros((3, 1), dtype=int)), "idx, row, col and val must be 1-D arrays"),
+])
+def test_map_refuses_entries_it_would_misread(changed, message):
+    with pytest.raises(ValueError, match="^constraint map " + re.escape(message)):
+        ConstraintMap(n=402, m=2, **_entries(**changed))
+
+
+def test_builder_maps_pass_the_entry_checks_without_a_copy():
+    from specbundle.bench import build_completion, build_maxcut, gen_completion, gen_er_graph
+    for prob in (build_maxcut(gen_er_graph(402, 0.02, 0)),
+                 build_completion(gen_completion(8, 2, 0.5, 0))):
+        A = prob.A
+        again = ConstraintMap(n=A.n, m=A.m, idx=A.idx, row=A.row, col=A.col, val=A.val)
+        assert all(getattr(again, k) is getattr(A, k) for k in ("idx", "row", "col", "val"))
+    amap = ConstraintMap(n=402, m=2, **_entries())
+    assert amap.apply(np.eye(402)).tolist() == [1.0, 3.0]
 
 
 # -- eigensolves ------------------------------------------------------------

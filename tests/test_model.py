@@ -155,6 +155,13 @@ def test_problem_names_a_bad_penalty(alpha, want):
         build_maxcut(GraphInstance(n=3, edges=np.array([[0, 1, 1.0]])), alpha=alpha)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_problem_names_a_non_finite_right_hand_side(bad):
+    amap = ConstraintMap.from_triples(3, [[(0, 0, 1.0)], [(1, 1, 1.0)]])
+    with pytest.raises(ValueError, match=rf"^b\[1\] must be a finite real number, got {bad}$"):
+        SdpProblem(C=np.eye(3), A=amap, b=np.array([1.0, bad]), alpha=1.0)
+
+
 def test_cost_is_stored_as_symmetrize_leaves_it():
     amap = ConstraintMap.from_triples(3, [[(0, 0, 1.0)]])
     b = np.array([1.0])

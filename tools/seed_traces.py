@@ -5,9 +5,10 @@ the artifacts of the command-line front end on two small instances.
     python3 tools/seed_traces.py OUTDIR [--write MANIFEST | --check MANIFEST]
 
 Solves each workload of ``perfbench/workloads.py`` once, at seed 0, with
-the solver from this checkout's ``src/``, and writes its ``write_trace``
-CSV to ``OUTDIR/<workload>.csv`` and its ``summary_dict`` (invariant
-slacks, warnings, stop reason, ``max_norm_y``, final objective) to
+the solver from this checkout's ``src/``, through the command-line front
+end's ``_solve_and_record``, and writes its ``write_trace`` CSV to
+``OUTDIR/<workload>.csv`` and its ``summary_dict`` (invariant slacks,
+warnings, stop reason, ``max_norm_y``, final objective) to
 ``OUTDIR/<workload>.json``.
 
 It then writes the same two files to ``OUTDIR/small/<name>.csv|json``
@@ -74,10 +75,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from specbundle import SolverConfig, run  # noqa: E402
+from specbundle import SolverConfig  # noqa: E402
 from specbundle.bench import (build_completion, build_maxcut, gen_completion,  # noqa: E402
-                              gen_er_graph, summary_dict, write_summary, write_trace)
-from specbundle.bench.cli import main as cli_main  # noqa: E402
+                              gen_er_graph)
+from specbundle.bench.cli import _solve_and_record, main as cli_main  # noqa: E402
 from workloads import WORKLOADS, set_up  # noqa: E402
 
 
@@ -106,11 +107,10 @@ def lanczos_run():
 
 
 def write_run(out, name, prob, cfg):
-    res = run(prob, cfg)
+    """Solve and write the trace and summary through the command-line
+    front end's own record path, without references."""
     path = out / f"{name}.csv"
-    write_trace(str(path), res.records, cfg.rbar)
-    write_summary(str(out / f"{name}.json"),
-                  summary_dict(cfg, res, alpha_effective=prob.alpha))
+    res, _, _ = _solve_and_record(prob, cfg, None, "", str(path), str(out / f"{name}.json"))
     print(f"{name}: {len(res.records)} iterations -> {path}")
 
 

@@ -20,30 +20,12 @@ import numpy as np
 
 from .. import model
 from ..linops import (INTEGER, NONNEGATIVE, POSITIVE, REAL, ConstraintMap, DimensionError,
-                      check_field)
+                      check_field, check_finite)
 from ..model import SdpProblem
 
 
 class ParseError(ValueError):
     """Malformed instance file; message carries the offending line number."""
-
-
-def _require_finite(a, field, what, whole=False):
-    """Raise a ValueError naming ``field`` at the first entry of the float
-    array ``a`` that is not finite or, with ``whole``, not an integer."""
-    bad = ~np.isfinite(a)
-    if whole:
-        bad |= a != np.round(a)
-    if bad.any():
-        raise ValueError(f"{field}: {what} {a[bad][0]} is not "
-                         + ("an integer" if whole else "finite"))
-
-
-def _as_indices(a, field):
-    """The index array ``a`` as ints, refusing entries that are not integers."""
-    if a.dtype.kind not in "biu":
-        _require_finite(a.astype(float), field, "index", whole=True)
-    return a.astype(int, copy=False)
 
 
 def _has_duplicates(keys):
@@ -67,20 +49,19 @@ class GraphInstance:
     edges: np.ndarray   # (E, 3) float array, columns i, j, w
 
     def __post_init__(self):
+        n = check_field("n", self.n, INTEGER, *NONNEGATIVE)
         e = np.atleast_2d(np.asarray(self.edges, dtype=float))
         if e.size == 0:
             e = np.zeros((0, 3))
         if e.shape[1] != 3:
             raise ValueError(f"edges must have three columns, got shape {e.shape}")
-        _require_finite(e[:, :2], "edges", "endpoint", whole=True)
-        _require_finite(e[:, 2], "edges", "weight")
+        check_finite("edges", e)
+        check_finite("edges", e[:, :2], INTEGER, lambda a: (0 <= a) & (a < n), f"in [0, {n})")
         i, j = e[:, 0].astype(int), e[:, 1].astype(int)
         if np.any(i == j):
             raise ValueError("self-loops are not allowed")
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        if np.any(lo < 0) or np.any(hi >= self.n):
-            raise ValueError("edge endpoint outside the vertex range")
-        if _has_duplicates(lo * self.n + hi):
+        if _has_duplicates(lo * n + hi):
             raise ValueError("duplicate edges")
         object.__setattr__(self, "edges", np.column_stack([lo, hi, e[:, 2]]))
 
@@ -233,15 +214,16 @@ class CompletionInstance:
     factors: np.ndarray | None = None
 
     def __post_init__(self):
+        d = check_field("d", self.d, INTEGER, *POSITIVE)
         r, c = np.asarray(self.rows), np.asarray(self.cols)
         v = np.asarray(self.vals, dtype=float)
         if not (r.shape == c.shape == v.shape) or r.ndim != 1 or r.size == 0:
             raise ValueError("rows, cols, vals must be equal-length nonempty 1-d arrays")
-        r, c = _as_indices(r, "rows"), _as_indices(c, "cols")
-        _require_finite(v, "vals", "value")
-        if r.min() < 0 or c.min() < 0 or r.max() >= self.d or c.max() >= self.d:
-            raise ValueError("observed index outside the matrix")
-        if _has_duplicates(r * self.d + c):
+        r, c = (check_finite(name, a if a.dtype.kind in "biu" else a.astype(float), INTEGER,
+                             lambda a: (0 <= a) & (a < d), f"in [0, {d})").astype(int, copy=False)
+                for name, a in (("rows", r), ("cols", c)))
+        check_finite("vals", v)
+        if _has_duplicates(r * d + c):
             raise ValueError("duplicate observed cells")
         object.__setattr__(self, "rows", r)
         object.__setattr__(self, "cols", c)

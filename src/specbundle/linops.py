@@ -60,13 +60,24 @@ def check_field(name, value, kind, ok=None, want=""):
     return value
 
 
-def check_finite(name, a):
-    """A ValueError reading "<name>[k] must be a finite real number, got
-    <a[k]>" at the first non-finite entry k of the float array ``a``."""
-    bad = ~np.isfinite(a)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"{name}[{k}] must be a finite real number, got {a[k]}")
+def check_finite(name, a, kind=REAL, ok=None, want=""):
+    """The array ``a`` if every entry is of ``kind`` (REAL or INTEGER; an
+    integer array is both, a bool array neither) and then passes the
+    elementwise test ``ok``; else a ValueError reading "<name>[k] must be
+    <kind's description, or want>, got <a[k]>" at the first entry k that
+    does not, with k written "i, j" in a 2-d array.  ``ok`` runs only on
+    an array of ``kind``, so it can range-check floats before a cast."""
+    whole = a.dtype.kind in "biu"
+    good = np.full(a.shape, a.dtype.kind != "b") if whole else np.isfinite(a)
+    if kind is INTEGER and not whole:
+        good &= a == np.round(a)
+    what = kind[1]
+    if ok is not None and good.all():
+        good, what = ok(a), want
+    if not good.all():
+        k = np.unravel_index(np.argmin(good), a.shape)
+        raise ValueError(f"{name}[{', '.join(map(str, k))}] must be {what}, got {a[k]}")
+    return a
 
 
 # the residual gate of ``_top_eigs_sparse``
@@ -114,9 +125,12 @@ class ConstraintMap:
     val: np.ndarray
 
     def __post_init__(self):
-        """Refuse in O(nnz) what the methods would misread: arrays of unequal
-        length, non-integer indices, and (naming the first) an entry outside
-        the m constraints or order-n matrix, below the diagonal or non-finite."""
+        """Refuse in O(nnz) what the methods would misread: sizes n and m
+        that are not positive integers, arrays of unequal length, non-integer
+        indices, and (naming the first) an entry outside the m constraints or
+        order-n matrix, below the diagonal or non-finite."""
+        check_field("constraint map n", self.n, INTEGER, *POSITIVE)
+        check_field("constraint map m", self.m, INTEGER, *POSITIVE)
         for name in ("idx", "row", "col", "val"):
             a = np.asarray(getattr(self, name), dtype=float if name == "val" else None)
             if a.ndim != 1 or a.shape != np.shape(self.idx):

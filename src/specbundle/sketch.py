@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .linops import DimensionError
+from .linops import INTEGER, NONNEGATIVE, POSITIVE, DimensionError, check_field
 
 
 def gaussian_matrix(seed, shape, stream=0):
@@ -66,8 +66,9 @@ class SketchState:
 
 def sketch_init(n, r, seed):
     """Fresh zero sketch of an n x n matrix targeting reconstruction rank r."""
-    if n < 1 or r < 1:
-        raise DimensionError(f"need positive dimensions, got n={n}, r={r}")
+    check_field("n", n, INTEGER, *POSITIVE)
+    check_field("r", r, INTEGER, *POSITIVE)
+    check_field("seed", seed, INTEGER, *NONNEGATIVE)
     k = 2 * r + 1
     l = 4 * r + 3
     Psi = gaussian_matrix(seed, (n, k), stream=1)

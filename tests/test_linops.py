@@ -198,10 +198,10 @@ def test_map_construction_errors():
 
 
 def _entries(**changed):
-    """Arrays of a valid order-402, two-constraint map, with ``changed``."""
-    arrays = dict(idx=np.array([0, 1, 1]), row=np.array([0, 3, 4]), col=np.array([0, 5, 4]),
-                  val=np.array([1.0, 2.0, 3.0]))
-    return {**arrays, **changed}
+    """Fields of a valid order-402, two-constraint map, with ``changed``."""
+    fields = dict(n=402, m=2, idx=np.array([0, 1, 1]), row=np.array([0, 3, 4]),
+                  col=np.array([0, 5, 4]), val=np.array([1.0, 2.0, 3.0]))
+    return {**fields, **changed}
 
 
 @pytest.mark.parametrize("changed,message", [
@@ -224,10 +224,13 @@ def _entries(**changed):
     (dict(idx=np.array([True, False, False])), "idx must hold integers, got bool"),
     (dict(val=np.array([1.0])), "idx, row, col and val must be 1-D arrays of one length"),
     (dict(idx=np.zeros((3, 1), dtype=int)), "idx, row, col and val must be 1-D arrays"),
+    (dict(n=402.0), "n must be an integer, got 402.0"),
+    (dict(m=0), "m must be positive, got 0"),
+    (dict(n=True), "n must be an integer, got True"),
 ])
 def test_map_refuses_entries_it_would_misread(changed, message):
     with pytest.raises(ValueError, match="^constraint map " + re.escape(message)):
-        ConstraintMap(n=402, m=2, **_entries(**changed))
+        ConstraintMap(**_entries(**changed))
 
 
 def test_builder_maps_pass_the_entry_checks_without_a_copy():
@@ -237,7 +240,7 @@ def test_builder_maps_pass_the_entry_checks_without_a_copy():
         A = prob.A
         again = ConstraintMap(n=A.n, m=A.m, idx=A.idx, row=A.row, col=A.col, val=A.val)
         assert all(getattr(again, k) is getattr(A, k) for k in ("idx", "row", "col", "val"))
-    amap = ConstraintMap(n=402, m=2, **_entries())
+    amap = ConstraintMap(**_entries())
     assert amap.apply(np.eye(402)).tolist() == [1.0, 3.0]
 
 

@@ -45,6 +45,10 @@ def test_tree_counts_sum_its_python_files(tmp_path, capsys):
     (tmp_path / "pkg" / "a.py").write_text(FIXTURE)
     (tmp_path / "pkg" / "b.py").write_text("x = 1\n\n")
     (tmp_path / "notes.txt").write_text("not python\n")
-    assert loc.count_tree(tmp_path) == (23, 10)
+    assert loc.count_files(tmp_path) == [("pkg/a.py", 21, 9), ("pkg/b.py", 2, 1)]
     assert loc.main([str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "wc -l: 23\ncode lines: 10\n"
+    assert capsys.readouterr().out == ("wc -l: 23\n"
+                                       "code lines: 10\n"
+                                       " wc -l   code  file\n"
+                                       "    21      9  pkg/a.py\n"
+                                       "     2      1  pkg/b.py\n")

@@ -1,6 +1,8 @@
 """Randomized two-sided sketch: determinism, update algebra against a dense
 shadow, and reconstruction accuracy on exactly low-rank streams."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -45,10 +47,14 @@ def test_init_bitwise_reproducible():
 
 
 def test_init_rejects_bad_dimensions():
-    with pytest.raises(DimensionError):
-        sketch_init(0, 2, seed=0)
-    with pytest.raises(DimensionError):
-        sketch_init(5, 0, seed=0)
+    for args, message in [((0, 2, 0), "n must be positive, got 0"),
+                          ((5, 0, 0), "r must be positive, got 0"),
+                          ((5.0, 2, 0), "n must be an integer, got 5.0"),
+                          ((5, True, 0), "r must be an integer, got True"),
+                          ((5, 2, 1.5), "seed must be an integer, got 1.5"),
+                          ((5, 2, -1), "seed must be nonnegative, got -1")]:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            sketch_init(*args)
 
 
 def test_update_identity_scale_zero_correction():

@@ -1,9 +1,9 @@
-"""Print the two line counts tracked for the package source: ``wc -l`` and
-code lines.
+"""Print the two line counts tracked for the package source, ``wc -l`` and
+code lines, then both counts of each file.
 
     python3 tools/loc.py [DIR]      # DIR defaults to this checkout's src/
 
-Both counts cover every ``*.py`` file under DIR.  Code lines are the
+The totals cover every ``*.py`` file under DIR.  Code lines are the
 physical lines that hold a token other than a comment and are not inside a
 module, class or function docstring, so a multi-line statement counts each
 of its lines, and a docstring, a comment or a blank line counts none.
@@ -48,22 +48,23 @@ def count(source):
     return source.count("\n"), len(rows)
 
 
-def count_tree(root):
-    """(``wc -l``, code lines) summed over the ``*.py`` files under ``root``."""
-    lines = code = 0
-    for path in sorted(Path(root).rglob("*.py")):
-        n, c = count(path.read_text(encoding="utf-8"))
-        lines += n
-        code += c
-    return lines, code
+def count_files(root):
+    """(path under ``root``, ``wc -l``, code lines) of each ``*.py`` file
+    under ``root``, in path order."""
+    root = Path(root)
+    return [(path.relative_to(root).as_posix(), *count(path.read_text(encoding="utf-8")))
+            for path in sorted(root.rglob("*.py"))]
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     root = argv[0] if argv else Path(__file__).resolve().parent.parent / "src"
-    lines, code = count_tree(root)
-    print(f"wc -l: {lines}")
-    print(f"code lines: {code}")
+    files = count_files(root)
+    print(f"wc -l: {sum(lines for _, lines, _ in files)}")
+    print(f"code lines: {sum(code for _, _, code in files)}")
+    print(f"{'wc -l':>6} {'code':>6}  file")
+    for path, lines, code in files:
+        print(f"{lines:6d} {code:6d}  {path}")
     return 0
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from .linops import (BOOL, INTEGER, NONNEGATIVE, POSITIVE, REAL, STRING, _eigh, check_field,
                      check_finite, orthonormalize, recorded_fallbacks, symmetrize)
-from .model import (Aggregate, dual_objective, model_value,
+from .model import (_SPARSE_ABOVE_N, Aggregate, _penalized, dual_objective, model_value,
                     objective_with_spectrum, simple_model_value, zero_aggregate)
 from .sketch import (LowRankFactors, SketchState, sketch_init, sketch_reconstruct,
                      sketch_scale, sketch_update)
@@ -300,11 +300,34 @@ def check_model_dominance(prob, state, rec, info, rng, report):
     """At random probes y around the step's candidate: the two-cut model
     stays below the refreshed aggregate model of ``state``, which stays
     below the true objective.  Each probe's slack is built once, for
-    both evaluations."""
+    both evaluations.
+
+    Up to order ``_SPARSE_ABOVE_N`` a probe first brackets the value F that
+    ``dual_objective`` would return, ``lo <= F <= hi``
+    (``_objective_bracket``), and makes that eigensolve only when some F in
+    the bracket could raise one of the report's two worst ratios
+    (``_probe_cannot_move``).  A skipped probe would have left the report
+    as it was, so the report keeps its bits; its random draw is made either
+    way.
+
+    The bracket: the top eigenvalue of the slack D lies between the top
+    Ritz value of D on span[V, DV] and D's largest absolute row sum R
+    (Gershgorin), which is at least ||D||_2.  The value ``dual_objective``
+    reads from ``dsyevr`` (a backward-stable tridiagonal reduction, then
+    bisection) and the computed Ritz value (a Householder QR, then a
+    2p x 2p ``dsyevr``) are each within a small multiple of
+    n * eps * ||D||_2 of their exact values, and the computed R is within
+    n * eps * R of its own.  So the margin ``_BRACKET_ULPS * n * eps * R``,
+    taken off the Ritz value and added to R, covers all three.  Both
+    eigenvalue bounds then go through ``model._penalized``, whose rounded
+    operations are monotone, so the bracket holds for the computed F.
+    Above ``_SPARSE_ABOVE_N`` F is a Lanczos value, which the bracket does
+    not cover, and every probe solves."""
     z = state.z
     g = subgradient_at(prob, float(info.vals[0]), info.vecs[:, 0])
     s = -prob.b + info.sol.AX
     scale_z = 1.0 + float(np.linalg.norm(z))
+    dense = prob.n <= _SPARSE_ABOVE_N
     for radius in _PROBE_RADII:
         d = rng.standard_normal(prob.m)
         nd = np.linalg.norm(d)
@@ -314,10 +337,55 @@ def check_model_dominance(prob, state, rec, info, rng, report):
         sv = simple_model_value(rec.F_z, g, s, rec.Fbar_z, z, y)
         D = prob.dual_slack(y)
         mv = model_value(prob, state.agg, state.V, y, D)
+        if dense and _probe_cannot_move(report, sv, mv,
+                                        *_objective_bracket(prob, y, D, state.V)):
+            continue
         fv = dual_objective(prob, y, D)
         scale = 1.0 + abs(fv)
         report.simple_minus_model = max(report.simple_minus_model, (sv - mv) / scale)
         report.model_minus_f = max(report.model_minus_f, (mv - fv) / scale)
+
+
+# the bracket's roundoff margin, in units of n * eps * (D's largest absolute
+# row sum); see check_model_dominance
+_BRACKET_ULPS = 16.0
+# relative slack by which a bound on a probe's ratio must clear the running
+# worst; it covers the few roundings of the ratio itself
+_RATIO_RTOL = 1e-12
+
+
+def _objective_bracket(prob, y, D, V):
+    """``(lo, hi)`` with ``lo <= dual_objective(prob, y, D) <= hi``, for the
+    dense slack ``D`` at y and an orthonormal basis ``V``, as
+    ``check_model_dominance`` derives it; ``(nan, nan)`` when D's row sums
+    are not finite."""
+    R = float(np.abs(D).sum(axis=1).max())
+    if not np.isfinite(R):
+        return np.nan, np.nan
+    margin = _BRACKET_ULPS * prob.n * np.finfo(float).eps * R
+    Q = np.linalg.qr(np.hstack([V, D @ V]))[0]
+    ritz = float(_eigh(symmetrize(Q.T @ D @ Q))[0][-1])
+    return _penalized(prob, y, ritz - margin), _penalized(prob, y, R + margin)
+
+
+def _largest_ratio(num, lo, hi):
+    """An upper bound on ``num(F) / (1.0 + abs(F))``, as computed, over every
+    F in ``[lo, hi]``.  For the probe's numerators, a constant and
+    ``mv - F``, the exact ratio is monotone on each side of 0, so its
+    largest value is at lo, at hi or at 0; the computed one is within a few
+    roundings of it, which the ``_RATIO_RTOL`` (and an underflow-sized
+    absolute) slack covers."""
+    r = max(num(F) / (1.0 + abs(F)) for F in (lo, hi, 0.0) if lo <= F <= hi)
+    return r + _RATIO_RTOL * abs(r) + np.finfo(float).tiny
+
+
+def _probe_cannot_move(report, sv, mv, lo, hi):
+    """Whether no objective value in ``[lo, hi]`` could raise either worst
+    ratio of ``report``, so the probe's eigensolve can be skipped."""
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return False
+    return (_largest_ratio(lambda F: sv - mv, lo, hi) < report.simple_minus_model
+            and _largest_ratio(lambda F: mv - F, lo, hi) < report.model_minus_f)
 
 
 def membership_certificates(prob, state, info):

@@ -129,3 +129,26 @@ def test_each_run_line_shows_the_machine_state_of_its_env_line():
     assert ab.parse_env(_stdout(time_to_gap_s=3.5)) == {}
     assert ab.parse_env("env {not json\n") == {} and ab.parse_env("") == {}
     assert ab.run_line(1, "parent", "") == "pair 1 parent: {} env {} FAILED"
+
+
+@pytest.mark.parametrize("argv, seeds", [
+    ([], [1, 2, 3]),
+    (["--first-seed", "11"], [11, 12, 13]),
+])
+def test_pairs_alternate_sides_over_consecutive_seeds(argv, seeds, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, checkout, workload, seed, seconds):
+        calls.append((str(checkout), seed))
+        return _stdout(time_to_gap_s=1.0)
+    monkeypatch.setattr(ab, "run_once", fake_run)
+    assert ab.main(["P", "C", "--workload", "w", "--pairs", "3", "--seconds", "1"] + argv) == 0
+    assert calls == [("P", seeds[0]), ("C", seeds[0]), ("C", seeds[1]), ("P", seeds[1]),
+                     ("P", seeds[2]), ("C", seeds[2])]
+
+
+def test_a_negative_first_seed_is_refused(capsys):
+    with pytest.raises(SystemExit):
+        ab.main(["P", "C", "--workload", "w", "--pairs", "3", "--seconds", "1",
+                 "--first-seed", "-1"])
+    assert "--first-seed must be at least 0" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy.sparse
 import specbundle.model as model
 from specbundle import ConstraintMap, DimensionError, SolverConfig, run
 from specbundle.bench import (ReferenceValues, TraceFormatError,
-                              build_completion, build_maxcut,
+                              build_completion, build_maxcut, check_descent_bounds,
                               check_recorded_invariants,
                               check_spectral_accuracy, completion_reference,
                               gen_completion, gen_er_graph, maxcut_reference,
@@ -713,6 +714,23 @@ def test_trace_read_errors(tmp_path):
     bad.write_text("nope,columns\n1,2\n")
     with pytest.raises(TraceFormatError):
         read_trace(str(bad))
+    # a bad row is named by path and line: a missing field, an unparsable cell
+    _, cfg, res = _short_run(rbar=2)
+    good = tmp_path / "good.csv"
+    write_trace(str(good), res.records, cfg.rbar)
+    lines = good.read_text().splitlines()
+    ncol = len(trace_header(cfg.rbar))
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]) + "\n")
+    with pytest.raises(TraceFormatError,
+                       match=f"^{re.escape(str(short))}:3: expected {ncol} fields, got {ncol - 1}$"):
+        read_trace(str(short))
+    garbled = tmp_path / "garbled.csv"
+    cells = lines[1].split(",")
+    cells[1] = "abc"                                    # F_y
+    garbled.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n")
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(garbled))}:2: "):
+        read_trace(str(garbled))
 
 
 def test_summary_round_trip(tmp_path):
@@ -789,6 +807,17 @@ def test_verify_without_telemetry_fails_dominance():
     assert not rep.passed
     note = next(c.note for c in rep.checks if not c.passed)
     assert "telemetry" in note
+
+
+def test_descent_bounds_without_descent_steps_pass_with_a_note():
+    prob, cfg, res = _short_run(iters=8)
+    refs, _ = maxcut_reference(triangle_graph())
+    nulls = [replace(r, descent=False) for r in res.records]
+    checks = check_descent_bounds(nulls, refs, cfg.rho, cfg.beta, prob.alpha,
+                                  res.stats.max_norm_y)
+    assert [c.name for c in checks] == ["primal feasibility bound", "dual feasibility bound",
+                                        "gap upper bound", "gap lower bound"]
+    assert all(c.passed and c.count == 0 and c.note == "no descent steps" for c in checks)
 
 
 def test_check_recorded_invariants_thresholds():

@@ -11,13 +11,16 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specbundle.bundle as bundle
 import specbundle.model as model
 from specbundle import (ConstraintMap, IterationRecord, LowRankFactors,
                         SdpProblem, SolverConfig, run, sketch_init,
                         sketch_reconstruct)
-from specbundle.bench import build_maxcut, gen_er_graph, write_trace
+from specbundle.bench import (build_completion, build_maxcut, gen_completion, gen_er_graph,
+                              write_trace)
 from specbundle.bundle import (BundleState, _finished_aggregate, init_state,
                                is_descent_step, membership_certificates, step,
                                stopping_metric, subgradient_at)
@@ -551,6 +554,76 @@ def test_run_collects_invariant_telemetry():
         assert rep.model_minus_f <= 1e-7
         assert rep.membership_err <= 1e-8
         assert rep.membership_feas <= 1e-8
+
+
+# -- the dominance probes' objective bracket ------------------------------------
+
+_BRACKET_SIDES = {
+    "negative": lambda u, v: (-v, -u),
+    "positive": lambda u, v: (u, v),
+    "across": lambda u, v: (-u, v),
+}
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(_BRACKET_SIDES)),
+       st.floats(min_value=0.0, max_value=1e6), st.floats(min_value=0.0, max_value=1e6),
+       st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=-1e6, max_value=1e6))
+def test_largest_ratio_bounds_the_ratio_across_the_bracket(side, a, b, c, mv):
+    lo, hi = _BRACKET_SIDES[side](min(a, b), max(a, b))
+    grid = np.linspace(lo, hi, 2001).tolist() + [lo, hi] + ([0.0] if lo <= 0.0 <= hi else [])
+    # the probe's two numerators: sv - mv, constant in F, and mv - F
+    for num in (lambda F: c, lambda F: mv - F):
+        bound = bundle._largest_ratio(num, lo, hi)
+        assert all(num(F) / (1.0 + abs(F)) <= bound for F in grid)
+
+
+def _counted_dual_objective(monkeypatch):
+    """Route the probes' ``dual_objective`` through a counter; returns the
+    one-element list it counts in."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return dual_objective(*args, **kwargs)
+    monkeypatch.setattr(bundle, "dual_objective", counted)
+    return calls
+
+
+@pytest.mark.parametrize("build, cfg", [
+    (lambda: build_completion(gen_completion(50, 3, 0.3, 0)),
+     SolverConfig(variant="block", rbar=3, rho=5.0, max_iters=40, check_invariants=True)),
+    # two of the small seed-trace runs
+    (lambda: build_maxcut(gen_er_graph(30, 0.2, 0)),
+     SolverConfig(variant="block", rbar=3, max_iters=60, inner_max_iter=60,
+                  check_invariants=True)),
+    (lambda: build_maxcut(gen_er_graph(30, 0.2, 0)),
+     SolverConfig(variant="hr", rbar=3, max_iters=60, inner_max_iter=60,
+                  check_invariants=True)),
+], ids=["completion-50", "maxcut-30-block", "maxcut-30-hr"])
+def test_skipped_probes_keep_every_bit(build, cfg, monkeypatch):
+    prob = build()
+    calls = _counted_dual_objective(monkeypatch)
+    res = run(prob, cfg)
+    solved = calls[0]
+    monkeypatch.setattr(bundle, "_probe_cannot_move", lambda *args: False)
+    calls[0] = 0
+    full = run(prob, cfg)
+    probes = 10 * full.stats.iterations
+    assert calls[0] == probes
+    assert repr(res.stats.invariants.as_dict()) == repr(full.stats.invariants.as_dict())
+    assert [repr(r) for r in res.records] == [repr(r) for r in full.records]
+    # most probes skip their eigensolve (18, 10 and 12 of them solve)
+    assert solved <= 0.1 * probes
+
+
+def test_probes_above_the_dense_order_all_solve(monkeypatch):
+    prob = build_maxcut(gen_er_graph(401, 0.02, 0))
+    assert prob.n > model._SPARSE_ABOVE_N
+    calls = _counted_dual_objective(monkeypatch)
+    res = run(prob, SolverConfig(rbar=2, rho=1.0, max_iters=2, check_invariants=True))
+    assert res.stats.iterations == 2
+    assert calls[0] == 20
 
 
 def test_run_compressed_storage_produces_factors():

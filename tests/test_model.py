@@ -82,8 +82,9 @@ def test_dense_dual_slack_is_bitwise_the_negated_slack(prob):
 
 
 def _probe_slacks(prob, cfg, steps):
-    """Slacks at the invariant check's probe points around the candidates
-    of the first ``steps`` steps of a solve, drawn as the check draws them."""
+    """Points, slacks and bundle bases at the invariant check's probes
+    around the candidates of the first ``steps`` steps of a solve, drawn as
+    the check draws them."""
     state = init_state(prob, cfg)
     rng = np.random.default_rng(0)
     for _ in range(steps):
@@ -93,7 +94,7 @@ def _probe_slacks(prob, cfg, steps):
         for radius in bundle._PROBE_RADII:
             d = rng.standard_normal(prob.m)
             y = z + radius * scale * d / np.linalg.norm(d)
-            yield y, prob.dual_slack(y)
+            yield y, prob.dual_slack(y), state.V
 
 
 def test_probe_objective_is_bitwise_the_spectrum_objective():
@@ -101,7 +102,7 @@ def test_probe_objective_is_bitwise_the_spectrum_objective():
     prob = build_completion(gen_completion(150, 3, 0.3, 0))
     cfg = SolverConfig(variant="block", rbar=3, rho=5.0)
     n = prob.n
-    for y, D in _probe_slacks(prob, cfg, 3):
+    for y, D, _ in _probe_slacks(prob, cfg, 3):
         # the forms the probe objective replaced: the objective of the
         # top eigenpair, and scipy's subset eigh behind it
         want = objective_with_spectrum(prob, y, 1, D)[0]
@@ -109,6 +110,24 @@ def test_probe_objective_is_bitwise_the_spectrum_objective():
         assert np.float64(top_eigval(D)).tobytes() == lam.tobytes()
         assert np.float64(dual_objective(prob, y, D)).tobytes() == np.float64(want).tobytes()
         assert np.float64(dual_objective(prob, y)).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("build, cfg", [
+    # completion-150-verified's instance and configuration
+    (lambda: build_completion(gen_completion(150, 3, 0.3, 0)),
+     SolverConfig(variant="block", rbar=3, rho=5.0)),
+    # maxcut-200-block's instance and configuration
+    (lambda: build_maxcut(gen_er_graph(200, 0.1, 2)),
+     SolverConfig(variant="block", rbar=7, rho=0.5)),
+], ids=["completion-150", "maxcut-200"])
+def test_objective_bracket_holds_at_every_probe(build, cfg):
+    prob = build()
+    probes = 0
+    for y, D, V in _probe_slacks(prob, cfg, 3):
+        lo, hi = bundle._objective_bracket(prob, y, D, V)
+        assert lo <= dual_objective(prob, y, D) <= hi
+        probes += 1
+    assert probes == 30
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -1,11 +1,12 @@
 """Paired runs of the time-to-gap benchmark: a parent checkout against a
 changed one.
 
-    python3 tools/ab.py PARENT CHANGE --workload W --pairs N --seconds S
+    python3 tools/ab.py PARENT CHANGE --workload W --pairs N --seconds S [--first-seed K]
 
 PARENT and CHANGE are source checkouts.  Pair k (k = 1..N) runs
-``perfbench/run.py --workload W --seed k --seconds S --trace 0`` in each of
-them, one after the other; the parent goes first in odd pairs and the
+``perfbench/run.py --workload W --seed K+k-1 --seconds S --trace 0`` (K is
+1 unless given, so a claim can be checked on seeds unused before) in each
+of them, one after the other; the parent goes first in odd pairs and the
 change in even ones, so drift in the machine's load falls on both sides.
 
 For every end-to-end metric of ``BENCHMARK.json`` (its name, unit, the
@@ -154,17 +155,20 @@ def main(argv=None):
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.first_seed < 0:
+        ap.error("--first-seed must be at least 0")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     runs = {"parent": [], "change": []}
     for k in range(1, args.pairs + 1):
         order = ("parent", "change") if k % 2 else ("change", "parent")
         for side in order:
-            stdout = run_once(bench["command"], getattr(args, side), args.workload, k,
-                              args.seconds)
+            stdout = run_once(bench["command"], getattr(args, side), args.workload,
+                              args.first_seed + k - 1, args.seconds)
             runs[side].append(parse_result(stdout))
             print(run_line(k, side, stdout), flush=True)
 

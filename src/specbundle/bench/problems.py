@@ -220,7 +220,8 @@ class CompletionInstance:
         if not (r.shape == c.shape == v.shape) or r.ndim != 1 or r.size == 0:
             raise ValueError("rows, cols, vals must be equal-length nonempty 1-d arrays")
         r, c = (check_finite(name, a if a.dtype.kind in "biu" else a.astype(float), INTEGER,
-                             lambda a: (0 <= a) & (a < d), f"in [0, {d})").astype(int, copy=False)
+                             lambda a: (0 <= a) & (a < d), f"in [0, {d})")
+                .astype(int, order="C", copy=False)
                 for name, a in (("rows", r), ("cols", c)))
         check_finite("vals", v)
         if _has_duplicates(r * d + c):

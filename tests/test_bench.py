@@ -558,6 +558,18 @@ def test_completion_generator_properties():
     assert abs(inst.nuclear_norm() - 6 * 2) <= 1e-9
 
 
+def test_completion_instance_stores_contiguous_indices():
+    """``np.nonzero``'s rows and columns are strided views into one array;
+    the instance keeps contiguous copies with the same values."""
+    mask = np.random.default_rng(4).random((9, 9)) < 0.4
+    r, c = np.nonzero(mask)
+    assert not r.flags.c_contiguous
+    inst = CompletionInstance(d=9, rows=r, cols=c, vals=np.ones(r.size))
+    assert np.array_equal(inst.rows, r) and np.array_equal(inst.cols, c)
+    for inst in (inst, gen_completion(d=9, rank=2, p_obs=0.4, seed=4)):
+        assert inst.rows.flags.c_contiguous and inst.cols.flags.c_contiguous
+
+
 def test_completion_ground_truth_is_feasible():
     inst = gen_completion(d=8, rank=3, p_obs=0.4, seed=5)
     prob = build_completion(inst)

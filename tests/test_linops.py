@@ -425,3 +425,30 @@ def test_orthonormalize_matches_gram_schmidt_span():
 def test_orthonormalize_zero_input_raises():
     with pytest.raises(RankError):
         orthonormalize(np.zeros((4, 2)))
+
+
+def test_congruence_of_a_1d_basis_is_that_of_its_column():
+    rng = np.random.default_rng(41)
+    amap = rand_sparse_map(rng, 7, 5)
+    v = rng.normal(size=7)
+    T = amap.congruence(v)
+    assert T.shape == (5, 1, 1)
+    assert T.tobytes() == amap.congruence(v[:, None]).tobytes()
+
+
+def test_lapack_failures_in_the_eigensolves_raise(monkeypatch):
+    """A failed dsyevr, full or over an index range, or a failed workspace
+    query for it, raises with its own message."""
+    A = np.diag([1.0, 2.0, 3.0])
+    linops._syevr_work.cache_clear()
+    monkeypatch.setattr(linops, "dsyevr_lwork", lambda **kwargs: (1, 1, -2))
+    with pytest.raises(ValueError, match=r"^dsyevr workspace query failed: -2$"):
+        linops._eigh(A)
+    monkeypatch.undo()
+    linops._syevr_work.cache_clear()
+    monkeypatch.setattr(linops, "dsyevr",
+                        lambda A, **kwargs: (np.ones(3), np.eye(3), 3, None, 5))
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dsyevr failed with info=5$"):
+        linops._syevr(A)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^dsyevr failed with info=5$"):
+        linops._syevr_top(A, 2, 1)

@@ -538,3 +538,11 @@ def test_simple_model_value_direct():
         want = max(f_cand + g @ (y - z), model_cand + s @ (y - z))
         got = simple_model_value(f_cand, g, s, model_cand, z, y)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def test_model_value_of_a_1d_basis_is_that_of_its_column():
+    rng = np.random.default_rng(42)
+    prob, agg, V, y, _ = rand_setup(rng, n=7, m=5, p=1)
+    v = V[:, 0].copy()
+    want = model_value(prob, agg, V, y)
+    assert np.float64(model_value(prob, agg, v, y)).tobytes() == np.float64(want).tobytes()

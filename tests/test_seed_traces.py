@@ -4,10 +4,14 @@ files: no solve runs here."""
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from specbundle import run, subproblem
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -103,3 +107,38 @@ def test_main_refuses_another_environment_before_solving(tmp_path, capsys):
     assert seed_traces.main([str(out), "--check", str(manifest)]) == 2
     assert not out.exists()
     assert "environment differs" in capsys.readouterr().err
+
+
+def _same_run(a, b):
+    """Whether two runs agree in every record, their stats (stop reason,
+    warnings, invariant report) and their primal, by ``repr`` and bytes."""
+    primal = [np.asarray(r.primal if isinstance(r.primal, np.ndarray) else r.primal.dense())
+              for r in (a, b)]
+    return ([repr(r) for r in a.records] == [repr(r) for r in b.records]
+            and repr(a.stats) == repr(b.stats) and primal[0].tobytes() == primal[1].tobytes())
+
+
+@pytest.mark.parametrize("prob, cfg", [
+    pytest.param(prob, cfg, id=name)
+    for name, prob, cfg in (*seed_traces.small_runs(), seed_traces.lanczos_run())])
+def test_runs_keep_their_bits_with_face_pruning_off(prob, cfg, monkeypatch):
+    """The seed-trace runs give the same records and reports when the face
+    ladder drops its cap and so prunes nothing."""
+    res = run(prob, cfg)
+    inner = subproblem._face_polish
+    monkeypatch.setattr(subproblem, "_face_polish", lambda ip, e, Ss, f_cap=None: inner(ip, e, Ss))
+    assert _same_run(res, run(prob, cfg))
+
+
+def test_seed_traces_match_the_committed_manifest(tmp_path):
+    """``tools/seed_traces.py OUT --check`` on this checkout: exit 1 (a file
+    differs) fails, exit 2 (this environment is not the manifest's, so
+    the bits are not comparable) skips."""
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, str(root / "tools" / "seed_traces.py"),
+                          str(tmp_path / "out"), "--check",
+                          str(root / "tools" / "seed_traces.manifest.json")],
+                         capture_output=True, text=True, timeout=1200, check=False)
+    if out.returncode == 2:
+        pytest.skip(out.stderr.strip())
+    assert out.returncode == 0, out.stdout[-4000:] + out.stderr[-4000:]

@@ -179,3 +179,12 @@ def test_low_rank_factors_dense():
     fac = LowRankFactors(left=left, weights=np.array([2.0, 3.0]), right=right)
     want = left @ np.diag([2.0, 3.0]) @ right
     assert np.array_equal(fac.dense(), want)
+
+
+def test_update_by_a_1d_factor_is_that_of_its_column():
+    rng = np.random.default_rng(43)
+    st = sketch_update(sketch_init(7, 2, 0), 1.0, rng.normal(size=(7, 2)), np.eye(2))
+    v = rng.normal(size=7)
+    got = sketch_update(st, 0.5, v, 2.0)
+    want = sketch_update(st, 0.5, v[:, None], np.array([[2.0]]))
+    assert got.Yc.tobytes() == want.Yc.tobytes() and got.Yr.tobytes() == want.Yr.tobytes()

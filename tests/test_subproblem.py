@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -455,14 +456,17 @@ def test_face_solve_reuse_bitwise_equals_second_lstsq():
         D = rng.standard_normal((q + 3, q))
         H = D.T @ D / 0.7
         rhs = rng.standard_normal(q)
-        solves = subproblem._face_solves(H, rhs)
+        solves, s_min = subproblem._face_solves(H, rhs)
+        x_ref, _, _, s_ref = np.linalg.lstsq(H, rhs, rcond=None)
         assert len(solves) == 1
-        assert np.array_equal(solves[0], np.linalg.lstsq(H, rhs, rcond=None)[0])
+        assert np.array_equal(solves[0], x_ref)
+        assert s_min == s_ref[-1] > 0.0
     # rank-deficient: the truncated and the exact solve are both kept
     D = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
     H = D.T @ D
     rhs = rng.standard_normal(4)
-    truncated, exact = subproblem._face_solves(H, rhs)
+    (truncated, exact), s_min = subproblem._face_solves(H, rhs)
+    assert s_min == 0.0
     assert np.array_equal(truncated, np.linalg.lstsq(H, rhs, rcond=1e-10)[0])
     assert np.array_equal(exact, np.linalg.lstsq(H, rhs, rcond=None)[0])
 
@@ -481,16 +485,17 @@ def test_lstsq_bitwise_equals_numpy():
     subproblem._gelsd_work.cache_clear()
     for H, rhs in _lstsq_systems(rng):
         for rcond in (1e-10, 1e-12, None):
-            x, rank = subproblem._lstsq(H, rhs, rcond)
-            x_ref, _, rank_ref, _ = np.linalg.lstsq(H, rhs, rcond=rcond)
+            x, rank, s = subproblem._lstsq(H, rhs, rcond)
+            x_ref, _, rank_ref, s_ref = np.linalg.lstsq(H, rhs, rcond=rcond)
             assert x.tobytes() == x_ref.tobytes()
             assert rank == rank_ref
+            assert s.tobytes() == s_ref.tobytes()
 
 
 def test_lstsq_non_finite_input():
     # a non-finite right-hand side gives NaNs, as np.linalg.lstsq does
     rhs = np.array([1.0, np.nan, 2.0])
-    x, _ = subproblem._lstsq(np.eye(3), rhs, None)
+    x = subproblem._lstsq(np.eye(3), rhs, None)[0]
     assert np.isnan(x).all() and np.isnan(np.linalg.lstsq(np.eye(3), rhs)[0]).all()
     # a non-finite matrix raises np.linalg.lstsq's error before LAPACK
     # sees it; on some of these np.linalg.lstsq itself never returns
@@ -531,7 +536,7 @@ def _face_polish_reference(ip, e, Ss):
             K = np.zeros((q + 1, q + 1))
             K[:q, :q], K[:q, q], K[q, :q] = H, tvec, tvec
             kkt = np.linalg.lstsq(K, np.concatenate([rhs, [a]]), rcond=1e-12)[0][:q]
-            sols = [u for u in subproblem._face_solves(H, rhs)
+            sols = [u for u in subproblem._face_solves(H, rhs)[0]
                     if float(np.abs(u).max(initial=0.0)) <= 1e10]
             for u in [*sols, kkt]:
                 if not np.all(np.isfinite(u)):
@@ -561,6 +566,228 @@ def test_face_ladder_bitwise_equals_per_face_construction():
             for ge, gS, (we, wS) in zip(got_e, got_S, want):
                 assert np.float64(ge).tobytes() == np.float64(we).tobytes()
                 assert gS.tobytes() == wS.tobytes()
+
+
+# -- value bounds and the pruned face ladder ---------------------------------
+#
+# With a cap f_cap the ladder stops each chain of faces at its first face
+# whose value bound, less its margin, exceeds the cap.  The candidates it
+# leaves out would all have scored above the cap, where ``try_polish``
+# skips them, so the ones it keeps are the same, bit for bit.
+
+def _bound_case(rng, q, m):
+    """Data of one face-shaped quadratic const + lin.v + ||b - D v||^2 /
+    (2 rho) under the cap tvec.v <= alpha: the scalars as an object that
+    ``_value_bound`` reads, then D, lin, tvec, H and rhs."""
+    ip = SimpleNamespace(b=rng.normal(size=m), const=float(rng.normal(0.0, 10.0)),
+                         rho=float(rng.uniform(0.3, 3.0)), alpha=float(rng.uniform(0.5, 4.0)))
+    D = rng.normal(size=(m, q)) * rng.uniform(0.1, 3.0, q)
+    lin = rng.normal(size=q)
+    tvec = rng.uniform(0.0, 2.0, q)
+    H = D.T @ D / ip.rho
+    return ip, D, lin, tvec, H, D.T @ ip.b / ip.rho - lin
+
+
+def _capped_min(ip, D, lin, tvec, H, rhs):
+    """The constrained minimizer, its multiplier and its value, in closed
+    form: the free minimizer, or else the one on the cap."""
+    v = np.linalg.solve(H, rhs)
+    mu = 0.0
+    if tvec @ v > ip.alpha:
+        w = np.linalg.solve(H, tvec)
+        mu = (tvec @ v - ip.alpha) / (tvec @ w)
+        v = v - mu * w
+    r = ip.b - D @ v
+    return v, mu, ip.const + lin @ v + 0.5 / ip.rho * (r @ r)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_value_bound_holds_at_any_trial_point(seed):
+    """The bound is below the capped minimum from any trial point and any
+    multiplier >= 0, not only from a solve's, and meets it at the
+    minimizer and its multiplier."""
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, 8))
+    ip, D, lin, tvec, H, rhs = _bound_case(rng, q, int(rng.integers(q, q + 10)))
+    s_min = float(np.linalg.svd(H, compute_uv=False)[-1])
+    v, mu, f_min = _capped_min(ip, D, lin, tvec, H, rhs)
+    tight = subproblem._value_bound(ip, D, lin, H, rhs, tvec, v, mu, s_min)
+    assert tight <= f_min
+    assert tight >= f_min - 1e-6 * (1.0 + abs(f_min))
+    for scale in (1e-6, 1e-2, 1.0, 30.0):
+        u = v + scale * rng.normal(size=q)
+        for m in (0.0, mu, float(rng.exponential(1.0))):
+            assert subproblem._value_bound(ip, D, lin, H, rhs, tvec, u, m, s_min) <= f_min
+
+
+def _face_outputs(ip, e, Ss, f_cap):
+    """The ladder's candidates at (e, Ss) under ``f_cap`` and, in ladder
+    order, each face it solved as a pair: whether eta is free on it, and
+    what it returned (None when pruned)."""
+    seen = []
+    inner = subproblem._face_candidates
+
+    def record(ip, U, DS, linS, eta_free, f_cap):
+        seen.append((eta_free, inner(ip, U, DS, linS, eta_free, f_cap)))
+        return seen[-1][1]
+    subproblem._face_candidates = record
+    try:
+        E, S = subproblem._face_polish(ip, e, Ss, f_cap)
+    finally:
+        subproblem._face_candidates = inner
+    return E, S, seen
+
+
+def _random_ladder(seed):
+    """(ip, e, Ss) of a random ladder: widths 1-5, and m from 2 (every
+    face but the smallest rank-deficient) to 30."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 6))
+    prob, agg, V, y, rho = rand_setup(rng, n=9, m=int(rng.choice([2, 4, 9, 30])), p=p)
+    ip = InnerProblem.build(prob, agg, V, y, rho)
+    e = float(rng.choice([0.0, 0.2, 0.45, 0.8]))
+    F = rng.normal(size=(p, p)) * rng.uniform(0.0, 1.0, p)
+    Ss = symm(F @ F.T)
+    Ss *= (1.0 - e) * rng.uniform(0.5, 1.0) / max(np.trace(Ss), 1e-300)
+    return ip, e, Ss
+
+
+@pytest.fixture(scope="module")
+def solve_ladders():
+    """(ip, e, Ss) of every ladder that ``try_polish`` builds in a small
+    block solve (max-cut ER n=30, rbar=3, 20 steps)."""
+    ladders = []
+    inner = subproblem._face_polish
+
+    def record(ip, e, Ss, f_cap=None):
+        ladders.append((ip, e, Ss))
+        return inner(ip, e, Ss, f_cap)
+    subproblem._face_polish = record
+    try:
+        run(build_maxcut(gen_er_graph(30, 0.2, 0)), SolverConfig(rbar=3, max_iters=20))
+    finally:
+        subproblem._face_polish = inner
+    return ladders
+
+
+def _check_bounds_below_candidates(ip, e, Ss):
+    """With an infinite cap (every bound formed, nothing pruned) the
+    ladder is the uncapped one, and every face's bound is at most the
+    score of each of its projected candidates.  Returns the number of
+    faces with a bound."""
+    E, S, faces = _face_outputs(ip, e, Ss, np.inf)
+    E0, S0 = subproblem._face_polish(ip, e, Ss)
+    assert E.tobytes() == E0.tobytes() and S.tobytes() == S0.tobytes()
+    bounded = 0
+    for _, (face_e, face_S, bound) in faces:
+        if bound == -np.inf:
+            continue
+        bounded += 1
+        P_e, P_S = project_psd_simplex_hull(face_e, face_S)
+        assert (subproblem._score(ip, P_e, P_S, -np.inf)[0] >= bound).all()
+    return bounded
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_face_bounds_are_below_every_candidate_score(seed):
+    _check_bounds_below_candidates(*_random_ladder(seed))
+
+
+def test_face_bounds_are_below_every_candidate_score_on_solve_ladders(solve_ladders):
+    """Near a solve's iterates a face's own minimizer is often feasible and
+    scores within a few ulps of its bound, so this is where a margin that
+    is too thin shows."""
+    bounded = sum(_check_bounds_below_candidates(*ladder) for ladder in solve_ladders)
+    assert bounded > 500
+
+
+def _kept(ip, E, S, f_cap):
+    """The bytes of the candidates that score at most ``f_cap``, in order,
+    and of their scores and residuals: what ``try_polish`` reads."""
+    F, R = subproblem._score(ip, E, S, f_cap)
+    low = ~(F > f_cap)
+    return E[low].tobytes(), S[low].tobytes(), F[low].tobytes(), R[low].tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1))
+def test_pruned_ladder_keeps_every_candidate_at_or_below_the_cap(seed):
+    """At every cap from below the lowest candidate score to above the
+    highest, the pruned ladder keeps, bit for bit and in order, each
+    candidate of the full ladder that scores at most the cap."""
+    ip, e, Ss = _random_ladder(seed)
+    E0, S0 = subproblem._face_polish(ip, e, Ss)
+    F0 = subproblem._score(ip, E0, S0, -np.inf)[0]
+    for f_cap in [F0.min() - 1.0, *np.unique(F0).tolist(), F0.max() + 1.0]:
+        E, S, faces = _face_outputs(ip, e, Ss, f_cap)
+        _check_chains_stop(faces)
+        assert _kept(ip, E, S, f_cap) == _kept(ip, E0, S0, f_cap)
+
+
+def _check_chains_stop(faces):
+    """No face is solved after a pruned eta-free face, and no eta-clamped
+    face after a pruned eta-clamped one.  Returns the pruned count."""
+    stopped = {True: False, False: False}
+    for eta_free, out in faces:
+        assert not stopped[True] and not stopped[eta_free]
+        stopped[eta_free] = out is None
+    return sum(out is None for _, out in faces)
+
+
+def test_pruned_ladders_of_a_solve_keep_their_candidates(solve_ladders):
+    """The same on a solve's ladders, at each of a ladder's candidates'
+    scores; and each pruned face stops its chains."""
+    pruned = 0
+    for ip, e, Ss in solve_ladders[::4]:
+        E0, S0 = subproblem._face_polish(ip, e, Ss)
+        F0 = subproblem._score(ip, E0, S0, -np.inf)[0]
+        for f_cap in np.unique(F0).tolist():
+            E, S, faces = _face_outputs(ip, e, Ss, f_cap)
+            pruned += _check_chains_stop(faces)
+            assert _kept(ip, E, S, f_cap) == _kept(ip, E0, S0, f_cap)
+    assert pruned > 100
+
+
+def _counted_faces(monkeypatch):
+    """Route the ladder's face solves through a counter; returns the
+    two-element list [faces solved, faces pruned] it counts in."""
+    counts = [0, 0]
+    inner = subproblem._face_candidates
+
+    def counted(*args):
+        out = inner(*args)
+        counts[0] += 1
+        counts[1] += out is None
+        return out
+    monkeypatch.setattr(subproblem, "_face_candidates", counted)
+    return counts
+
+
+def _unpruned(monkeypatch):
+    """Turn pruning off: the ladder drops the cap it is given."""
+    inner = subproblem._face_polish
+    monkeypatch.setattr(subproblem, "_face_polish",
+                        lambda ip, e, Ss, f_cap=None: inner(ip, e, Ss))
+
+
+def test_fixed_solve_prunes_a_pinned_share_of_faces(monkeypatch):
+    """Max-cut ER n=30 at rbar=3, a seed-trace run: its ladders solve 818
+    of the 1,395 faces that the full ladders solve, and 321 of the 818
+    settle by their bounds; the records keep their bits."""
+    prob = build_maxcut(gen_er_graph(30, 0.2, 0))
+    cfg = SolverConfig(variant="block", rbar=3, max_iters=60, inner_max_iter=60)
+    counts = _counted_faces(monkeypatch)
+    res = run(prob, cfg)
+    solved, pruned = counts
+    _unpruned(monkeypatch)
+    counts[:] = [0, 0]
+    full = run(prob, cfg)
+    assert [repr(r) for r in res.records] == [repr(r) for r in full.records]
+    assert counts[1] == 0
+    assert 0.55 * counts[0] < solved < 0.62 * counts[0]
+    assert 0.2 * counts[0] < pruned < 0.25 * counts[0]
 
 
 def test_rotated_stack_bitwise_equals_stacked_matmul():
@@ -722,3 +949,30 @@ def test_traces_do_not_depend_on_workspace_cache_state(tmp_path):
         for variant in ("block", "hr"):
             assert ((cold / f"{variant}.csv").read_bytes()
                     == (warm / f"{variant}.csv").read_bytes())
+
+
+def test_subproblem_of_a_1d_basis_is_that_of_its_column():
+    """A 1-d basis goes through ``InnerProblem.build`` as one column."""
+    rng = np.random.default_rng(44)
+    prob, agg, V, y, rho = rand_setup(rng, n=7, m=5, p=1)
+    got = solve_subproblem(prob, agg, V[:, 0].copy(), y, rho)
+    want = solve_subproblem(prob, agg, V, y, rho)
+    assert got.ip.V.shape == (7, 1)
+    for name in ("eta", "S", "z", "AX", "CX", "tr", "value", "model_at_z", "residual"):
+        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+
+
+def test_lapack_failures_in_the_face_solves_raise(monkeypatch):
+    """A failed dgelsd, or a failed workspace query for it, raises with its
+    own message."""
+    subproblem._gelsd_work.cache_clear()
+    monkeypatch.setattr(subproblem, "dgelsd_lwork", lambda *args: (1, 1, -4))
+    with pytest.raises(ValueError, match=r"^dgelsd workspace query failed: -4$"):
+        subproblem._lstsq(np.eye(3), np.ones(3), None)
+    monkeypatch.undo()
+    subproblem._gelsd_work.cache_clear()
+    monkeypatch.setattr(subproblem, "dgelsd",
+                        lambda H, rhs, *args: (rhs.copy(), np.ones(len(rhs)), len(rhs), 2))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^SVD did not converge in Linear Least Squares$"):
+        subproblem._lstsq(np.eye(3), np.ones(3), None)

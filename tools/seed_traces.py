@@ -57,7 +57,7 @@ differently.  A change that moves bits rewrites the manifest with
 
 BLAS and OpenMP are pinned to one thread before numpy loads, as in
 ``perfbench/run.py``, because the thread count changes the trajectory.
-All thirty-one solves, with the check, take about 25 s on a 2-vCPU VM.
+All thirty-one solves, with the check, take about 18 s on a 2-vCPU VM.
 """
 
 import os

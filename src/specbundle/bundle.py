@@ -312,7 +312,10 @@ def check_model_dominance(prob, state, rec, info, rng, report):
 
     The bracket: the top eigenvalue of the slack D lies between the top
     Ritz value of D on span[V, DV] and D's largest absolute row sum R
-    (Gershgorin), which is at least ||D||_2.  The value ``dual_objective``
+    (Gershgorin), which is at least ||D||_2.  Every subspace gives such a
+    Ritz value, so DV is the transpose of the V^T D that ``model_value``
+    forms, which the roundoff of the product sets apart from a computed
+    D V.  The value ``dual_objective``
     reads from ``dsyevr`` (a backward-stable tridiagonal reduction, then
     bisection) and the computed Ritz value (a Householder QR, then a
     2p x 2p ``dsyevr``) are each within a small multiple of
@@ -336,9 +339,10 @@ def check_model_dominance(prob, state, rec, info, rng, report):
         y = z + radius * scale_z * d / nd
         sv = simple_model_value(rec.F_z, g, s, rec.Fbar_z, z, y)
         D = prob.dual_slack(y)
-        mv = model_value(prob, state.agg, state.V, y, D)
+        VtD = state.V.T @ D
+        mv = model_value(prob, state.agg, state.V, y, VtD=VtD)
         if dense and _probe_cannot_move(report, sv, mv,
-                                        *_objective_bracket(prob, y, D, state.V)):
+                                        *_objective_bracket(prob, y, D, state.V, VtD.T)):
             continue
         fv = dual_objective(prob, y, D)
         scale = 1.0 + abs(fv)
@@ -354,16 +358,17 @@ _BRACKET_ULPS = 16.0
 _RATIO_RTOL = 1e-12
 
 
-def _objective_bracket(prob, y, D, V):
+def _objective_bracket(prob, y, D, V, DV):
     """``(lo, hi)`` with ``lo <= dual_objective(prob, y, D) <= hi``, for the
-    dense slack ``D`` at y and an orthonormal basis ``V``, as
-    ``check_model_dominance`` derives it; ``(nan, nan)`` when D's row sums
-    are not finite."""
+    dense slack ``D`` at y, an orthonormal basis ``V`` and ``DV``, D V as
+    computed in any order (the probes pass the transpose of the V^T D that
+    ``model_value`` forms), as ``check_model_dominance`` derives it;
+    ``(nan, nan)`` when D's row sums are not finite."""
     R = float(np.abs(D).sum(axis=1).max())
     if not np.isfinite(R):
         return np.nan, np.nan
     margin = _BRACKET_ULPS * prob.n * np.finfo(float).eps * R
-    Q = np.linalg.qr(np.hstack([V, D @ V]))[0]
+    Q = np.linalg.qr(np.hstack([V, DV]))[0]
     ritz = float(_eigh(symmetrize(Q.T @ D @ Q))[0][-1])
     return _penalized(prob, y, ritz - margin), _penalized(prob, y, R + margin)
 

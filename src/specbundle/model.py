@@ -242,21 +242,22 @@ def zero_aggregate(prob, X=None):
     return Aggregate(AX=np.zeros(prob.m), CX=0.0, tr=0.0, X=X)
 
 
-def model_value(prob, agg, V, y, slack=None):
+def model_value(prob, agg, V, y, VtD=None):
     """Aggregate bundle model evaluated at y, a lower bound on F(y).
 
     The inner maximum is linear over a compact set whose extreme points
     are 0, the stored aggregate, and alpha * v v^T for unit v in the span
     of V, giving the closed form
         <-b, y> + alpha * max(lambda_max(V^T (A*y - C) V), cbar / alpha, 0)
-    with cbar = <Xbar, A* y - C> evaluated from the caches.  ``slack`` is
-    ``prob.dual_slack(y)`` when the caller has already built it.
+    with cbar = <Xbar, A* y - C> evaluated from the caches.  ``VtD`` is
+    ``V.T @ prob.dual_slack(y)`` when the caller has already formed it.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim == 1:
         V = V[:, None]
-    D = prob.dual_slack(y) if slack is None else slack
-    lam = float(_eigh(symmetrize(V.T @ D @ V))[0][-1])
+    if VtD is None:
+        VtD = V.T @ prob.dual_slack(y)
+    lam = float(_eigh(symmetrize(VtD @ V))[0][-1])
     cbar = float(agg.AX @ y) - agg.CX
     return -float(prob.b @ y) + prob.alpha * max(lam, cbar / prob.alpha, 0.0)
 

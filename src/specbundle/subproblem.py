@@ -20,10 +20,15 @@ X = eta Xbar + V S V^T.  Exact solves on the faces of S_t (the face
 ladder of ``_face_polish``) settle a width-1 bundle on their own and
 refine accelerated projected gradient iterates otherwise; the projection
 onto S_t is spectral and reduces to a simplex-with-slack projection of
-(eta, eigenvalues).
+(eta, eigenvalues).  That step runs on Python floats, one row at a time
+(``_simplex_hull_row``), and sums its cap test in numpy's order
+(``_numpy_sum``: left to right below 8 terms, eight partial sums combined
+pairwise from 8 on), so a row whose clamped sum is 1 to within an ulp
+takes numpy's branch.
 
-The projection and ``_score`` take stacks of points, a single point being
-a stack of one, and agree bit for bit with the single-point operations,
+The projection and ``_score`` take stacks of points too (``_score`` takes
+a single point as a stack of one), and agree bit for bit with the
+single-point operations,
 since the outer trajectory amplifies last-bit changes.  A polish skips
 candidates that score above its cap, so the ladder stops each chain of
 nested faces at its first face whose value bound clears the cap
@@ -33,8 +38,10 @@ leaves 50-76% of the faces to solve, with every bit kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
+from operator import add
 
 import numpy as np
 from scipy.linalg.lapack import dgelsd, dgelsd_lwork
@@ -42,77 +49,95 @@ from scipy.linalg.lapack import dgelsd, dgelsd_lwork
 from .linops import DimensionError, _eigh, _syevr, symmetrize
 
 
-def _simplex_hull_rows(X):
-    """Row-wise Euclidean projection of a finite (c, k) array onto
-    { x >= 0, sum(x) <= 1 }.
+def _numpy_sum(w):
+    """The sum of a list of floats as ``np.add.reduce`` adds a row, so with
+    its bits: left to right below 8 terms; up to 15, the first 8 pairwise,
+    then the rest left to right; from 16 on, numpy's own sum (running
+    partial sums, one per position mod 8, combined pairwise)."""
+    if len(w) < 8:
+        return reduce(add, w, -0.0)
+    if len(w) < 16:
+        return reduce(add, w[8:], ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7])))
+    return float(np.array(w).sum())
 
-    Clamping negatives suffices for a row whose clamped copy already
-    satisfies the sum constraint; otherwise the constraint is active and
-    the row takes the classical sort-based simplex projection.
+
+def _simplex_hull_row(x):
+    """Euclidean projection of a list of finite floats onto
+    { x >= 0, sum(x) <= 1 }, as a list of floats.
+
+    Clamping negatives suffices when the clamped row meets the sum
+    constraint; otherwise the constraint is active and the row takes the
+    sort-based simplex projection (Duchi, Shalev-Shwartz, Singer & Chandra,
+    2008): tau from the last prefix of the descending sort whose entries
+    all stay above it, then a clamp of x - tau.  The steps run on Python
+    floats as numpy's vectorized form ran them, so with its bits: each
+    clamp as ``np.maximum(v, 0.0)`` makes it (-0.0 becomes 0.0), the
+    running sum left to right, and the cap test summed by ``_numpy_sum``;
+    in another summation order a row whose clamped sum is 1 to within an
+    ulp can fall on the other side of the cap.
     """
-    W = np.maximum(X, 0.0)
-    over = W.sum(axis=1) > 1.0
-    n_over = np.count_nonzero(over)
-    if not n_over:
-        return W
-    U = np.sort(X, axis=1)[:, ::-1]
-    shifted = U.cumsum(axis=1) - 1.0
-    counts = np.arange(1, X.shape[1] + 1)
-    # the last index of the support; in exact arithmetic the support
-    # holds index 0, which is also the answer where rounding empties it
-    k = ((U - shifted / counts > 0.0) * counts).argmax(axis=1)
-    tau = shifted[np.arange(k.size), k] / counts[k]
-    P = np.maximum(X - tau[:, None], 0.0)
-    return P if n_over == len(X) else np.where(over[:, None], P, W)
+    w = [v if v > 0.0 else 0.0 for v in x]
+    if not _numpy_sum(w) > 1.0:
+        return w
+    tau = s = 0.0
+    for j, v in enumerate(sorted(x, reverse=True), 1):
+        s += v
+        t = (s - 1.0) / j
+        # in exact arithmetic the support holds the largest entry, which
+        # is also the answer where rounding empties it
+        if j == 1 or v - t > 0.0:
+            tau = t
+    return [d if d > 0.0 else 0.0 for d in [v - tau for v in x]]
 
 
 def project_simplex_hull(v):
-    """Euclidean projection onto { x >= 0, sum(x) <= 1 }."""
+    """Euclidean projection of a vector onto { x >= 0, sum(x) <= 1 }."""
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise DimensionError(f"expected a vector, got shape {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("array must not contain infs or NaNs")
-    return _simplex_hull_rows(v[None])[0]
+    return np.array(_simplex_hull_row(v.tolist()), dtype=float)
 
 
 def project_psd_simplex_hull(eta0, S0):
     """Project (eta0, S0) onto { eta >= 0, S psd, eta + tr(S) <= 1 }; a
     vector ``eta0`` of length c with a (c, p, p) stack ``S0`` gives the c
-    projections as a vector and a stack, each bit for bit its own."""
+    projections as a vector and a stack, each bit for bit its own.  Each
+    matrix takes one ``dsyevr`` call, then ``_simplex_hull_row`` on eta
+    and its eigenvalues, then the rebuild Q diag(x) Q^T."""
     S0 = np.asarray(S0, dtype=float)
+    S0 = S0 if S0.ndim >= 2 else np.atleast_2d(S0)
+    if S0.ndim > 3 or S0.shape[-1] != S0.shape[-2] or not S0.shape[-1]:
+        raise DimensionError(f"expected nonempty square matrices, got shape {S0.shape}")
     if S0.ndim == 3:
         return _project_psd_stack(np.asarray(eta0, dtype=float), S0)
-    eta, S = _project_psd_stack(np.array([float(eta0)]),
-                                (S0 if S0.ndim == 2 else np.atleast_2d(S0))[None])
-    return float(eta[0]), S[0]
+    eta0 = float(eta0)
+    S = 0.5 * (S0 + S0.T)
+    if not (math.isfinite(eta0) and np.isfinite(S).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lam, Q = _syevr(S)
+    x = _simplex_hull_row([eta0] + lam.tolist())
+    S = np.matmul(Q * np.array(x[1:]), Q.T)
+    return x[0], 0.5 * (S + S.T)
 
 
 def _project_psd_stack(eta0, S0):
-    """The projection of each pair (eta0[i], S0[i]): one ``dsyevr`` call
-    per matrix, then the simplex step and the rebuild over the stack."""
-    c, p, q = S0.shape
-    if p != q:
-        raise DimensionError(f"expected square matrices, got shape {S0.shape}")
-    pp = p * p
-    # row i holds the symmetrized S0[i], then eta0[i] and the eigenvalues,
-    # so one finiteness pass checks both inputs; X views the simplex rows
-    B = np.empty((c, pp + 1 + p))
-    S = B[:, :pp].reshape(c, p, p)
-    np.add(S0, S0.transpose(0, 2, 1), out=S)
-    S *= 0.5
-    B[:, pp] = eta0
-    if np.count_nonzero(np.isfinite(B[:, :pp + 1])) < c * (pp + 1):
+    """The projection of each pair (eta0[i], S0[i]) of a stack; each
+    eigenbasis stays column-major, as dsyevr returns it, so the rebuild
+    hands BLAS the operand layouts of a single projection."""
+    c, p = S0.shape[:2]
+    if eta0.shape != (c,):
+        raise DimensionError(f"expected {c} eta values for {c} matrices, got shape {eta0.shape}")
+    S = 0.5 * (S0 + S0.transpose(0, 2, 1))
+    if not (np.isfinite(eta0).all() and np.isfinite(S).all()):
         raise ValueError("array must not contain infs or NaNs")
-    X = B[:, pp:]
-    # each eigenbasis stays column-major, as dsyevr returns it, so the
-    # rebuild hands BLAS the operand layouts of a single projection
-    if c == 1:
-        X[0, 1:], Q = _syevr(S[0])
-        Q = Q[None]
-    else:
-        Q = np.empty((c, p, p)).transpose(0, 2, 1)
-        for i in range(c):
-            X[i, 1:], Q[i] = _syevr(S[i])
-    X = _simplex_hull_rows(X)
+    Q = np.empty((c, p, p)).transpose(0, 2, 1)
+    rows = []
+    for i, e in enumerate(eta0.tolist()):
+        lam, Q[i] = _syevr(S[i])
+        rows.append(_simplex_hull_row([e] + lam.tolist()))
+    X = np.array(rows, dtype=float).reshape(c, p + 1)
     S = np.matmul(Q * X[:, None, 1:], Q.transpose(0, 2, 1))
     return X[:, 0], 0.5 * (S + S.transpose(0, 2, 1))
 
@@ -176,15 +201,17 @@ class InnerProblem:
         the caller already has it."""
         if r is None:
             r = self.residual_vec(eta, S)
-        return (self.const + eta * self.c_eta + float(np.sum(S * self.G2))
+        return (self.const + eta * self.c_eta + float((S * self.G2).sum())
                 + 0.5 / self.rho * float(r @ r))
 
     def gradient(self, eta, S, r=None):
+        """The gradient at (eta, S); with ``r``, its ``residual_vec``,
+        S is not read."""
         if r is None:
             r = self.residual_vec(eta, S)
         d_eta = self.c_eta - float(self.AX @ r) / self.rho
         d_S = self.G2 - self.adjoint(r) / self.rho
-        return d_eta, symmetrize(d_S)
+        return d_eta, 0.5 * (d_S + d_S.T)
 
 
 @dataclass(eq=False)
@@ -204,9 +231,11 @@ def _stationarity_residual(ip, e, Ss, r=None):
     point (e, Ss) = (eta, S/alpha); zero exactly at a minimizer.  ``r`` is
     the point's residual when the caller already has it."""
     a = ip.alpha
-    ge, gS = ip.gradient(e, a * Ss, r)
+    if r is None:
+        r = ip.residual_vec(e, a * Ss)
+    ge, gS = ip.gradient(e, None, r)
     r_e, r_S = project_psd_simplex_hull(e - ge, Ss - a * gS)
-    return np.sqrt((e - r_e) ** 2 + float(np.sum((Ss - r_S) ** 2)))
+    return np.sqrt((e - r_e) ** 2 + float(((Ss - r_S) ** 2).sum()))
 
 
 def _quadratic_lipschitz(ip):
@@ -501,14 +530,17 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
     a = ip.alpha
     p = ip.width
 
-    def g_val(e, Ss, r=None):
-        return ip.value(e, a * Ss, r)
+    def g_val(e, Ss):
+        """Value at a scaled point, and the residual it was computed from."""
+        S = a * Ss
+        r = ip.residual_vec(e, S)
+        return ip.value(e, S, r), r
 
     def g_grad(e, Ss):
-        """Scaled gradient, and the residual it was computed from."""
-        r = ip.residual_vec(e, a * Ss)
-        de, dS = ip.gradient(e, a * Ss, r)
-        return de, a * dS, r
+        """Value and scaled gradient at a scaled point."""
+        f, r = g_val(e, Ss)
+        de, dS = ip.gradient(e, None, r)
+        return f, de, a * dS
 
     L = _quadratic_lipschitz(ip)
     L = max(L * 1.05, 1e-12)
@@ -518,23 +550,22 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
         x_e, x_S = project_psd_simplex_hull(float(eta_w), np.asarray(S_w, dtype=float) / a)
     else:
         x_e, x_S = 1.0, np.zeros((p, p))
-    fx = g_val(x_e, x_S)
+    fx = g_val(x_e, x_S)[0]
     w_e, w_S = x_e, x_S
     theta = 1.0
     res = np.inf
     it = 0
 
-    def pg_step(e, Ss, ge, gS, r, L):
+    def pg_step(e, Ss, base, ge, gS, L):
         # backtracking: halve the step (double L) on failed descent check;
-        # r is the residual at (e, Ss), returned alike for the new point
-        base = g_val(e, Ss, r)
+        # base is the value at (e, Ss), and the new point's residual is
+        # returned with it
         for _ in range(80):
             c_e, c_S = project_psd_simplex_hull(e - ge / L, Ss - gS / L)
             d_e, d_S = c_e - e, c_S - Ss
-            quad = base + ge * d_e + float(np.sum(gS * d_S)) \
-                + 0.5 * L * (d_e * d_e + float(np.sum(d_S * d_S)))
-            r_c = ip.residual_vec(c_e, a * c_S)
-            fc = g_val(c_e, c_S, r_c)
+            quad = base + ge * d_e + float((gS * d_S).sum()) \
+                + 0.5 * L * (d_e * d_e + float((d_S * d_S).sum()))
+            fc, r_c = g_val(c_e, c_S)
             if fc <= quad + 1e-12 * (1.0 + abs(quad)):
                 break
             L *= 2.0

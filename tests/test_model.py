@@ -124,7 +124,7 @@ def test_objective_bracket_holds_at_every_probe(build, cfg):
     prob = build()
     probes = 0
     for y, D, V in _probe_slacks(prob, cfg, 3):
-        lo, hi = bundle._objective_bracket(prob, y, D, V)
+        lo, hi = bundle._objective_bracket(prob, y, D, V, (V.T @ D).T)
         assert lo <= dual_objective(prob, y, D) <= hi
         probes += 1
     assert probes == 30

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbundle import linops, subproblem
-from specbundle import (ConstraintMap, SdpProblem, SolverConfig, run,
+from specbundle import (ConstraintMap, DimensionError, SdpProblem, SolverConfig, run,
                         project_simplex_hull, solve_inner_apg, solve_subproblem)
 from specbundle.bench import build_maxcut, gen_er_graph, write_trace
 from specbundle.model import model_value, zero_aggregate
@@ -863,6 +863,107 @@ def test_stacked_projection_bitwise_equals_per_matrix_oracle():
     assert min(rows.values()) > 1000
 
 
+def _sum_in_order(w):
+    """Left-to-right sum, numpy's order below 8 terms only."""
+    s = -0.0
+    for x in w:
+        s += x
+    return s
+
+
+# a row whose clamped sum is 1.0 in numpy's order and 1.0000000000000002
+# summed in the descending order of the sort
+_CAP_ROW = [0.9717658873064485, 0.0037360405091036294, 0.009392516690971221,
+            0.015105555493476804]
+
+
+def _rows_at_the_cap(rng, k, count):
+    """``count`` pairs (v, S): S is diagonal, and v is [eta, S's eigenvalues
+    as ``dsyevr`` returns them], so the simplex row of the (eta, S)
+    projection.  Each v, some entries negative, has a clamped sum of
+    exactly 1.0 in numpy's order and above it in another: the descending
+    order of the sort below 8 entries, left to right from 8 on (where
+    numpy adds eight running partial sums pairwise).  The sort-based
+    step, which that other order would take, moves each of them."""
+    rows = []
+    while len(rows) < count:
+        v = rng.random(k) * np.where(rng.random(k) < 0.2, -1.0, 1.0)
+        if not v.max() > 0.0:
+            continue
+        v /= np.maximum(v, 0.0).sum()
+        S = np.diag(v[1:])
+        v[1:] = linops._eigh(S)[0]
+        w = np.maximum(v, 0.0)
+        other = _sum_in_order(sorted(w.tolist(), reverse=True) if k < 8 else w.tolist())
+        u = np.sort(v)[::-1]
+        shifted = np.cumsum(u) - 1.0
+        j = np.nonzero(u - shifted / np.arange(1, k + 1) > 0.0)[0].max(initial=0)
+        moved = np.maximum(v - shifted[j] / (j + 1), 0.0)
+        if w.sum() == 1.0 and other > 1.0 and moved.tobytes() != w.tobytes():
+            rows.append((v, S))
+    return rows
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 7, 8, 9, 12, 16, 17])
+def test_projection_at_the_cap_keeps_numpy_summation_order(k):
+    """Rows on the cap to within an ulp take the branch that numpy's row
+    sum picks, the clamp alone, in the vector and in the stacked and
+    single (eta, S) projections, each byte for byte the per-row oracle's."""
+    rng = np.random.default_rng(100 + k)
+    rows = _rows_at_the_cap(rng, k, 12)
+    if k == 4:
+        v = np.array(_CAP_ROW)
+        assert v.sum() == 1.0
+        assert _sum_in_order(sorted(_CAP_ROW, reverse=True)) == 1.0000000000000002
+        S = np.diag(v[1:])
+        assert linops._eigh(S)[0].tobytes() == v[1:].tobytes()
+        rows.append((v, S))
+    for v, _ in rows:
+        got = project_simplex_hull(v)
+        assert got.tobytes() == _hull_oracle(v).tobytes() == np.maximum(v, 0.0).tobytes()
+    for i in range(0, len(rows), 3):
+        E = np.array([v[0] for v, _ in rows[i:i + 3]])
+        S = np.array([S for _, S in rows[i:i + 3]])
+        got_e, got_S = project_psd_simplex_hull(E, S)
+        for j in range(len(E)):
+            want_e, want_S = _psd_hull_oracle(E[j], S[j])
+            one_e, one_S = project_psd_simplex_hull(E[j], S[j])
+            assert np.float64(got_e[j]).tobytes() == np.float64(want_e).tobytes()
+            assert np.float64(one_e).tobytes() == np.float64(want_e).tobytes()
+            assert got_S[j].tobytes() == want_S.tobytes() == one_S.tobytes()
+
+
+def test_scalar_sum_bitwise_equals_numpy_row_sum():
+    """``_numpy_sum`` adds in ``np.add.reduce``'s order at every length,
+    across its three regimes (below 8, up to 15, from 16 on), for a row
+    alone and for the rows of a stack."""
+    rng = np.random.default_rng(37)
+    for k in range(1, 40):
+        W = rng.random((3, k)) * rng.choice([1e-3, 1.0, 1e3], size=(3, k))
+        sums = W.sum(axis=1)
+        for w, want in zip(W, sums):
+            assert np.float64(subproblem._numpy_sum(w.tolist())).tobytes() == want.tobytes()
+            assert np.float64(subproblem._numpy_sum(w.tolist())).tobytes() == w.sum().tobytes()
+
+
+@pytest.mark.parametrize("variant, calls", [("hr", 4648), ("block", 1789)])
+def test_fixed_solve_makes_a_pinned_count_of_projections(monkeypatch, variant, calls):
+    """Every projection of a solve goes through the module's
+    ``project_psd_simplex_hull``, the name the benchmark's tracer wraps:
+    a max-cut ER n=30 seed-trace run at rbar=3 makes a pinned count."""
+    inner = subproblem.project_psd_simplex_hull
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return inner(*args)
+    monkeypatch.setattr(subproblem, "project_psd_simplex_hull", counted)
+    prob = build_maxcut(gen_er_graph(30, 0.2, 0))
+    res = run(prob, SolverConfig(variant=variant, rbar=3, max_iters=60, inner_max_iter=60))
+    assert res.stats.iterations == 60
+    assert count[0] == calls
+
+
 def test_stacked_scores_bitwise_equal_single_point():
     """``_score`` uses only stacked forms that reproduce the single-point
     operations.  On 2,000 random draws (p = 1..8, m up to 200, more than
@@ -902,6 +1003,31 @@ def test_stacked_scores_bitwise_equal_single_point():
 def test_hull_projection_rejects_non_finite_vector_entries(project, args):
     with pytest.raises(ValueError, match="infs or NaNs"):
         project(*args)
+
+
+@pytest.mark.parametrize("v, shape", [
+    ([[0.9, 0.8], [0.1, 0.2]], r"\(2, 2\)"),
+    (0.5, r"\(\)"),
+])
+def test_project_simplex_hull_refuses_a_non_vector(v, shape):
+    with pytest.raises(DimensionError, match=rf"^expected a vector, got shape {shape}$"):
+        project_simplex_hull(v)
+
+
+@pytest.mark.parametrize("eta, S, match", [
+    (np.array([0.1, 0.2]), np.zeros((3, 2, 2)),
+     r"^expected 3 eta values for 3 matrices, got shape \(2,\)$"),
+    (0.1, np.zeros((2, 2, 2)), r"^expected 2 eta values for 2 matrices, got shape \(\)$"),
+    (0.1, np.zeros((0, 0)), r"^expected nonempty square matrices, got shape \(0, 0\)$"),
+    (np.zeros(2), np.zeros((2, 0, 0)),
+     r"^expected nonempty square matrices, got shape \(2, 0, 0\)$"),
+    (0.1, np.zeros((2, 3)), r"^expected nonempty square matrices, got shape \(2, 3\)$"),
+    (0.1, np.zeros((1, 1, 2, 2)),
+     r"^expected nonempty square matrices, got shape \(1, 1, 2, 2\)$"),
+])
+def test_psd_hull_projection_refuses_mismatched_sizes(eta, S, match):
+    with pytest.raises(DimensionError, match=match):
+        project_psd_simplex_hull(eta, S)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

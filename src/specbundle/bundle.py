@@ -35,8 +35,8 @@ import numpy as np
 
 from .linops import (BOOL, INTEGER, NONNEGATIVE, POSITIVE, REAL, STRING, _eigh, check_field,
                      check_finite, orthonormalize, recorded_fallbacks, symmetrize)
-from .model import (_SPARSE_ABOVE_N, Aggregate, _penalized, dual_objective, model_value,
-                    objective_with_spectrum, simple_model_value, zero_aggregate)
+from .model import (Aggregate, _penalized, dual_objective, model_value, objective_with_spectrum,
+                    simple_model_value, zero_aggregate)
 from .sketch import (LowRankFactors, SketchState, sketch_init, sketch_reconstruct,
                      sketch_scale, sketch_update)
 from .subproblem import solve_subproblem
@@ -302,7 +302,7 @@ def check_model_dominance(prob, state, rec, info, rng, report):
     below the true objective.  Each probe's slack is built once, for
     both evaluations.
 
-    Up to order ``_SPARSE_ABOVE_N`` a probe first brackets the value F that
+    For a dense slack a probe first brackets the value F that
     ``dual_objective`` would return, ``lo <= F <= hi``
     (``_objective_bracket``), and makes that eigensolve only when some F in
     the bracket could raise one of the report's two worst ratios
@@ -324,13 +324,12 @@ def check_model_dominance(prob, state, rec, info, rng, report):
     taken off the Ritz value and added to R, covers all three.  Both
     eigenvalue bounds then go through ``model._penalized``, whose rounded
     operations are monotone, so the bracket holds for the computed F.
-    Above ``_SPARSE_ABOVE_N`` F is a Lanczos value, which the bracket does
-    not cover, and every probe solves."""
+    For a CSR slack F is a Lanczos value, which the bracket does not
+    cover, and every probe solves."""
     z = state.z
     g = subgradient_at(prob, float(info.vals[0]), info.vecs[:, 0])
     s = -prob.b + info.sol.AX
     scale_z = 1.0 + float(np.linalg.norm(z))
-    dense = prob.n <= _SPARSE_ABOVE_N
     for radius in _PROBE_RADII:
         d = rng.standard_normal(prob.m)
         nd = np.linalg.norm(d)
@@ -341,8 +340,8 @@ def check_model_dominance(prob, state, rec, info, rng, report):
         D = prob.dual_slack(y)
         VtD = state.V.T @ D
         mv = model_value(prob, state.agg, state.V, y, VtD=VtD)
-        if dense and _probe_cannot_move(report, sv, mv,
-                                        *_objective_bracket(prob, y, D, state.V, VtD.T)):
+        if isinstance(D, np.ndarray) and _probe_cannot_move(
+                report, sv, mv, *_objective_bracket(prob, y, D, state.V, VtD.T)):
             continue
         fv = dual_objective(prob, y, D)
         scale = 1.0 + abs(fv)

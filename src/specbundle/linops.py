@@ -303,39 +303,14 @@ def _syevr(A):
     return w, v
 
 
-def _syevr_top(A, r, compute_v):
-    """The top ``r`` eigenvalues of a square float64 matrix, ascending, and
-    with ``compute_v`` their eigenvectors: ``scipy.linalg.eigh(A,
-    subset_by_index=[n - r, n - 1])`` bit for bit (dsyevr over an index
-    range, lower triangle, its workspace sizes).  ``compute_v=0`` (jobz='N')
-    with ``r < n`` takes the same tridiagonal reduction and bisection
-    (dstebz), so the values keep their bits."""
-    if not np.isfinite(A).all():
-        raise ValueError("array must not contain infs or NaNs")
-    n = A.shape[0]
-    lwork, liwork = _syevr_work(n)
-    w, v, k, _, info = dsyevr(A, compute_v=compute_v, lower=1, range="I", il=n - r + 1,
-                              iu=n, lwork=lwork, liwork=liwork)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
-    return w[:k], v[:, :k]
-
-
-def top_eigval(M):
-    """Largest eigenvalue of a dense symmetric matrix: ``top_eigs(M, 1)[0][0]``
-    bit for bit, from an eigenvalue-only solve (no eigenvector is formed)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
-        raise DimensionError(f"expected a nonempty square matrix, got shape {M.shape}")
-    return float(_syevr_top(M, 1, 0)[0][0])
-
-
 def top_eigs(M, r):
     """Top ``r`` eigenpairs ``(vals, vecs)`` of a symmetric matrix: values
     descending, orthonormal eigenvectors, each with its first clearly-nonzero
-    coordinate positive.  A dense matrix goes to ``_syevr_top`` (exact; its
-    bits are stated there), a ``scipy.sparse`` one to ``_top_eigs_sparse``
-    (Lanczos, inexact; see there)."""
+    coordinate positive.  For a dense matrix they are exact and
+    ``scipy.linalg.eigh(M, subset_by_index=[n - r, n - 1])`` bit for bit
+    before the reordering and sign fix (dsyevr over an index range, lower
+    triangle, its workspace sizes); a ``scipy.sparse`` matrix goes to
+    ``_top_eigs_sparse`` (Lanczos, inexact; see there)."""
     # a sparse matrix exists only once scipy.sparse is loaded, so the
     # dense path never imports it
     sparse = sys.modules.get("scipy.sparse")
@@ -348,9 +323,15 @@ def top_eigs(M, r):
         raise DimensionError(f"requested {r} eigenpairs of an order-{n} matrix")
     if not isinstance(M, np.ndarray):
         return _top_eigs_sparse(M, r)
-    vals, vecs = _syevr_top(M, r, 1)
-    order = np.argsort(vals)[::-1]
-    return vals[order], _fix_signs(vecs[:, order])
+    if not np.isfinite(M).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork, liwork = _syevr_work(n)
+    w, v, k, _, info = dsyevr(M, compute_v=1, lower=1, range="I", il=n - r + 1,
+                              iu=n, lwork=lwork, liwork=liwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info={info}")
+    order = np.argsort(w[:k])[::-1]
+    return w[order], _fix_signs(v[:, order])
 
 
 @cache

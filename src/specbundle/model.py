@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .linops import (POSITIVE, REAL, ConstraintMap, DimensionError, _eigh, check_field,
-                     check_finite, symmetrize, top_eigs, top_eigval)
+                     check_finite, symmetrize, top_eigs)
 from .sketch import SketchState
 
 # above this order the objective's eigensolve runs Lanczos on a CSR slack
@@ -187,14 +187,10 @@ def _checked_csr(C, n):
 
 
 def dual_objective(prob, y, slack=None):
-    """Penalized dual objective F(y), ``objective_with_spectrum(prob, y,
-    1)[0]`` bit for bit; up to order ``_SPARSE_ABOVE_N`` no eigenvector is
-    formed.  ``slack`` is ``prob.dual_slack(y)`` when the caller has already
-    built it."""
-    if prob.n > _SPARSE_ABOVE_N:
-        return objective_with_spectrum(prob, y, 1, slack)[0]
-    D = prob.dual_slack(y) if slack is None else slack
-    return _penalized(prob, y, top_eigval(D))
+    """Penalized dual objective F(y), the value of ``objective_with_spectrum``:
+    exact for a dense slack, a Lanczos value for a CSR one.  ``slack`` is
+    ``prob.dual_slack(y)`` when the caller has already built it."""
+    return objective_with_spectrum(prob, y, 1, slack)[0]
 
 
 def _penalized(prob, y, lam):

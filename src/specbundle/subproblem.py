@@ -204,11 +204,9 @@ class InnerProblem:
         return (self.const + eta * self.c_eta + float((S * self.G2).sum())
                 + 0.5 / self.rho * float(r @ r))
 
-    def gradient(self, eta, S, r=None):
-        """The gradient at (eta, S); with ``r``, its ``residual_vec``,
-        S is not read."""
-        if r is None:
-            r = self.residual_vec(eta, S)
+    def gradient(self, r):
+        """The gradient at the point (eta, S) whose ``residual_vec`` is
+        ``r``; the quadratic's gradient reads the point only through it."""
         d_eta = self.c_eta - float(self.AX @ r) / self.rho
         d_S = self.G2 - self.adjoint(r) / self.rho
         return d_eta, 0.5 * (d_S + d_S.T)
@@ -233,7 +231,7 @@ def _stationarity_residual(ip, e, Ss, r=None):
     a = ip.alpha
     if r is None:
         r = ip.residual_vec(e, a * Ss)
-    ge, gS = ip.gradient(e, None, r)
+    ge, gS = ip.gradient(r)
     r_e, r_S = project_psd_simplex_hull(e - ge, Ss - a * gS)
     return np.sqrt((e - r_e) ** 2 + float(((Ss - r_S) ** 2).sum()))
 
@@ -539,7 +537,7 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
     def g_grad(e, Ss):
         """Value and scaled gradient at a scaled point."""
         f, r = g_val(e, Ss)
-        de, dS = ip.gradient(e, None, r)
+        de, dS = ip.gradient(r)
         return f, de, a * dS
 
     L = _quadratic_lipschitz(ip)

@@ -578,36 +578,50 @@ def test_largest_ratio_bounds_the_ratio_across_the_bracket(side, a, b, c, mv):
         assert all(num(F) / (1.0 + abs(F)) <= bound for F in grid)
 
 
-def _counted_dual_objective(monkeypatch):
-    """Route the probes' ``dual_objective`` through a counter; returns the
-    one-element list it counts in."""
-    calls = [0]
+def _counted_probe_eigensolves(monkeypatch):
+    """Count the ``model.objective_with_spectrum`` calls, a name the
+    benchmark's tracer wraps, made under ``check_model_dominance``: the
+    probes' eigensolves.  Returns the one-element list it counts in."""
+    inner, check = model.objective_with_spectrum, bundle.check_model_dominance
+    depth, calls = [0], [0]
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return dual_objective(*args, **kwargs)
-    monkeypatch.setattr(bundle, "dual_objective", counted)
+    def counted(*args):
+        calls[0] += depth[0]
+        return inner(*args)
+
+    def checked(*args):
+        depth[0] += 1
+        try:
+            return check(*args)
+        finally:
+            depth[0] -= 1
+    monkeypatch.setattr(model, "objective_with_spectrum", counted)
+    monkeypatch.setattr(bundle, "check_model_dominance", checked)
     return calls
 
 
 @pytest.mark.parametrize("build, cfg, want_solved", [
     (lambda: build_completion(gen_completion(50, 3, 0.3, 0)),
      SolverConfig(variant="block", rbar=3, rho=5.0, max_iters=40, check_invariants=True), 18),
-    # two of the small seed-trace runs
+    # three of the small seed-trace runs
     (lambda: build_maxcut(gen_er_graph(30, 0.2, 0)),
      SolverConfig(variant="block", rbar=3, max_iters=60, inner_max_iter=60,
                   check_invariants=True), 10),
     (lambda: build_maxcut(gen_er_graph(30, 0.2, 0)),
      SolverConfig(variant="hr", rbar=3, max_iters=60, inner_max_iter=60,
                   check_invariants=True), 12),
-], ids=["completion-50", "maxcut-30-block", "maxcut-30-hr"])
+    (lambda: build_completion(gen_completion(8, 2, 0.5, 0)),
+     SolverConfig(variant="block", rbar=3, max_iters=60, inner_max_iter=60,
+                  check_invariants=True), 22),
+], ids=["completion-50", "maxcut-30-block", "maxcut-30-hr", "completion-8-block"])
 def test_skipped_probes_keep_every_bit(build, cfg, want_solved, monkeypatch):
     """Probes whose bracket (spanned by V and the transpose of the V^T D
     that ``model_value`` formed) rules them out skip their eigensolve;
     the invariant report and the records equal, by ``repr``, those of a
-    run in which every probe solves."""
+    run in which every probe solves.  The probes that solve, counted
+    through the name the tracer wraps, are pinned."""
     prob = build()
-    calls = _counted_dual_objective(monkeypatch)
+    calls = _counted_probe_eigensolves(monkeypatch)
     res = run(prob, cfg)
     solved = calls[0]
     monkeypatch.setattr(bundle, "_probe_cannot_move", lambda *args: False)
@@ -624,7 +638,7 @@ def test_skipped_probes_keep_every_bit(build, cfg, want_solved, monkeypatch):
 def test_probes_above_the_dense_order_all_solve(monkeypatch):
     prob = build_maxcut(gen_er_graph(401, 0.02, 0))
     assert prob.n > model._SPARSE_ABOVE_N
-    calls = _counted_dual_objective(monkeypatch)
+    calls = _counted_probe_eigensolves(monkeypatch)
     res = run(prob, SolverConfig(rbar=2, rho=1.0, max_iters=2, check_invariants=True))
     assert res.stats.iterations == 2
     assert calls[0] == 20

@@ -11,7 +11,7 @@ import scipy.linalg
 import scipy.sparse
 
 from specbundle import ConstraintMap, DimensionError, RankError, linops
-from specbundle.linops import orthonormalize, symmetrize, top_eigs, top_eigval
+from specbundle.linops import orthonormalize, symmetrize, top_eigs
 
 from conftest import dense_constraints, rand_sparse_map, symm
 
@@ -329,28 +329,12 @@ def test_dense_top_eigs_bitwise_equals_subset_eigh():
                 assert vecs.tobytes() == linops._fix_signs(v[:, order]).tobytes()
 
 
-def test_top_eigval_bitwise_equals_top_eigs():
-    rng = np.random.default_rng(17)
-    for n in [*range(1, 13), 40, 150]:
-        for M in _with_repeated_top(rng, n):
-            want = top_eigs(M, 1)[0][0].tobytes()
-            for A in (M, np.asfortranarray(M), np.repeat(M, 2, axis=1)[:, ::2]):
-                assert np.float64(top_eigval(A)).tobytes() == want
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dense_eigensolves_reject_non_finite_input(bad):
     M = np.eye(4)
     M[1, 2] = M[2, 1] = bad
-    for solve in (lambda: top_eigs(M, 2), lambda: top_eigval(M)):
-        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
-            solve()
-
-
-def test_top_eigval_errors():
-    for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(3)):
-        with pytest.raises(DimensionError):
-            top_eigval(bad)
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        top_eigs(M, 2)
 
 
 def test_top_eigs_sparse_matches_dense():
@@ -451,4 +435,4 @@ def test_lapack_failures_in_the_eigensolves_raise(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match=r"^dsyevr failed with info=5$"):
         linops._syevr(A)
     with pytest.raises(np.linalg.LinAlgError, match=r"^dsyevr failed with info=5$"):
-        linops._syevr_top(A, 2, 1)
+        top_eigs(A, 2)

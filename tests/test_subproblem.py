@@ -142,7 +142,7 @@ def test_inner_gradient_matches_finite_differences():
         ip = InnerProblem.build(prob, agg, V, y, rho)
         eta = float(rng.uniform(0.0, 0.5))
         S = symm(rng.normal(size=(2, 2)))
-        de, dS = ip.gradient(eta, S)
+        de, dS = ip.gradient(ip.residual_vec(eta, S))
         delta = float(rng.normal())
         D = symm(rng.normal(size=(2, 2)))
         want = delta * de + float(np.sum(dS * D))

@@ -32,7 +32,8 @@ alone, on the same max-cut graph (n=30) and completion instance (d=8),
 each with ``max_iters=60`` and ``inner_max_iter=60``, and writes under
 ``OUTDIR/cli/``: ``<problem>.csv|json`` and ``<problem>-ref.json`` from a
 block ``solve --rbar 3 --auto-ref --check-invariants --trace --summary
---save-ref``; ``<problem>-sweep/`` from a ``sweep --variants
+--save-ref``, which ``verify --trace --summary`` then re-checks (a check
+that fails stops the script); ``<problem>-sweep/`` from a ``sweep --variants
 block,hr --rbar 1,3 --ref <problem>-ref.json --check-invariants
 --out-dir``; and ``<problem>-gap.csv`` from ``plotdata --ref`` on the
 solve's trace.  The commands' printed output, which holds wall times, is
@@ -123,6 +124,7 @@ def cli_runs(out):
                   "--inner-max-iter", "60", "--check-invariants"]
         for argv in (["solve", *common, "--rbar", "3", "--auto-ref", "--trace", stem + ".csv",
                       "--summary", stem + ".json", "--save-ref", stem + "-ref.json"],
+                     ["verify", "--trace", stem + ".csv", "--summary", stem + ".json"],
                      ["sweep", *common, "--variants", "block,hr", "--rbar", "1,3",
                       "--ref", stem + "-ref.json", "--out-dir", stem + "-sweep"],
                      ["plotdata", "--trace", stem + ".csv", "--ref", stem + "-ref.json",

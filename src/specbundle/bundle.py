@@ -154,7 +154,8 @@ def is_descent_step(f_ref, f_cand, model_cand, beta):
 
 
 def init_state(prob, cfg, y0=None):
-    """Reference point, exploration point, bundle basis, zero aggregate."""
+    """Reference point, exploration point, bundle basis, zero aggregate;
+    a ValueError naming alpha when F(y0) is not finite."""
     m = prob.m
     y0 = np.zeros(m) if y0 is None else np.asarray(y0, dtype=float).copy()
     if y0.shape != (m,):
@@ -162,6 +163,9 @@ def init_state(prob, cfg, y0=None):
     check_finite("y0", y0)
     width = min(cfg.rbar, prob.n)
     F0, vals, vecs = objective_with_spectrum(prob, y0, width)
+    if not np.isfinite(F0):
+        raise ValueError(f"F(y0) = {F0} is not finite: alpha = {prob.alpha:g} is too large "
+                         "for this problem's scale")
     X = None
     if cfg.storage == "compressed":
         X = sketch_init(prob.n, cfg.sketch_rank or cfg.rbar, cfg.seed)

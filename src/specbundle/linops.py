@@ -154,37 +154,32 @@ class ConstraintMap:
     def from_triples(cls, n, triples):
         """Build from a sequence of per-constraint ``[(i, j, v), ...]`` lists.
 
-        Coordinates are normalized to the upper triangle; duplicate
-        coordinates within one constraint are rejected.
+        Each coordinate is swapped into the upper triangle and the
+        coordinates go to the constructor as ``np.asarray`` converts them,
+        so they meet its checks uncast; a coordinate repeated within one
+        constraint is then refused.
         """
-        if n < 1:
-            raise DimensionError(f"matrix order must be positive, got {n}")
         triples = list(triples)
         kk, rr, cc, vv = [], [], [], []
         for k, entries in enumerate(triples):
-            seen = set()
-            for (i, j, v) in entries:
-                i, j = int(i), int(j)
-                if not (0 <= i < n and 0 <= j < n):
-                    raise DimensionError(
-                        f"constraint {k}: coordinate ({i},{j}) outside order-{n} matrix")
-                if i > j:
-                    i, j = j, i
-                if (i, j) in seen:
-                    raise ValueError(f"constraint {k}: duplicate coordinate ({i},{j})")
-                seen.add((i, j))
+            for i, j, v in entries:
+                # a pair that does not compare (a string) goes on as given
+                with contextlib.suppress(TypeError):
+                    if i > j:
+                        i, j = j, i
                 kk.append(k)
                 rr.append(i)
                 cc.append(j)
-                vv.append(float(v))
-        m = len(triples)
-        if m < 1:
-            raise DimensionError("constraint map needs at least one constraint")
-        return cls(n=n, m=m,
-                   idx=np.asarray(kk, dtype=np.intp),
-                   row=np.asarray(rr, dtype=np.intp),
-                   col=np.asarray(cc, dtype=np.intp),
-                   val=np.asarray(vv, dtype=float))
+                vv.append(v)
+        empty = np.zeros(0, dtype=np.intp)   # np.asarray([]) is float64
+        amap = cls(n=n, m=len(triples), idx=np.asarray(kk, dtype=np.intp),
+                   row=np.asarray(rr or empty), col=np.asarray(cc or empty), val=vv)
+        seen = set()
+        for key in zip(amap.idx.tolist(), amap.row.tolist(), amap.col.tolist()):
+            if key in seen:
+                raise ValueError("constraint {}: duplicate coordinate ({},{})".format(*key))
+            seen.add(key)
+        return amap
 
     # -- forward map ---------------------------------------------------
 
@@ -429,8 +424,6 @@ def orthonormalize(cols):
     ``max(shape) * machine epsilon * sigma_max``.
     """
     A = np.asarray(cols, dtype=float)
-    if A.ndim == 1:
-        A = A[:, None]
     if A.size == 0 or np.abs(A).max() == 0.0:
         raise RankError("cannot orthonormalize an all-zero set of columns")
     U, s, _ = scipy.linalg.svd(A, full_matrices=False)

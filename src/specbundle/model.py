@@ -248,9 +248,6 @@ def model_value(prob, agg, V, y, VtD=None):
     with cbar = <Xbar, A* y - C> evaluated from the caches.  ``VtD`` is
     ``V.T @ prob.dual_slack(y)`` when the caller has already formed it.
     """
-    V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
     if VtD is None:
         VtD = V.T @ prob.dual_slack(y)
     lam = float(_eigh(symmetrize(VtD @ V))[0][-1])

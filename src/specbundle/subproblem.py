@@ -635,6 +635,7 @@ def solve_inner_apg(ip, max_iter=5000, warm=None):
                 # stalled, since the jump resets momentum (tight value
                 # cap so repeated jumps cannot drift f upward)
                 took = rb < res or fb < fx - 1e-9 * (1.0 + abs(fx))
+                # no benchmark workload takes the stalled branch; acceptance runs do
                 if took or (stalled and rb <= 8.0 * res
                             and fb <= fx + 1e-12 * (1.0 + abs(fx))):
                     x_e, x_S, fx, res = b_e, b_S, fb, rb

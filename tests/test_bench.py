@@ -1061,7 +1061,10 @@ def test_cli_usage_errors_exit_two(argv, capsys):
      "alpha must be a finite real number, got inf"),
     (["--problem", "completion", "--gen", "d=5,rank=0"], "rank must be positive, got 0"),
     (["--problem", "maxcut", "--gen", "er,n=20,p=nan"], "p must be a finite real number, got nan"),
-], ids=["alpha-inf", "completion-rank-zero", "er-p-nan"])
+    # alpha * lambda_max(L) = 3e308 overflows before the first step
+    (["--problem", "maxcut", "--gen", "triangle", "--alpha", "1e308", "--max-iters", "3"],
+     "F(y0) = inf is not finite: alpha = 1e+308 is too large for this problem's scale"),
+], ids=["alpha-inf", "completion-rank-zero", "er-p-nan", "alpha-overflows"])
 def test_cli_solve_names_a_bad_penalty_or_generator_parameter(argv, message, capsys):
     assert main(["solve", *argv]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -21,6 +21,7 @@ from specbundle import (ConstraintMap, IterationRecord, LowRankFactors,
                         sketch_reconstruct)
 from specbundle.bench import (build_completion, build_maxcut, gen_completion, gen_er_graph,
                               write_trace)
+from specbundle.bench.problems import triangle_graph
 from specbundle.bundle import (BundleState, _finished_aggregate, init_state,
                                is_descent_step, membership_certificates, step,
                                stopping_metric, subgradient_at)
@@ -148,6 +149,14 @@ def test_run_names_a_non_finite_start(bad):
     prob = rand_problem(np.random.default_rng(0), n=6, m=4)
     with pytest.raises(ValueError, match=rf"^y0\[2\] must be a finite real number, got {bad}$"):
         run(prob, SolverConfig(max_iters=2), y0=np.array([0.0, 1.0, bad, 0.0]))
+
+
+def test_run_names_an_alpha_whose_start_value_overflows():
+    # F(0) = alpha * lambda_max(L) = 3e308 overflows before any step, and
+    # would otherwise surface as numpy's message from the next eigensolve
+    prob = build_maxcut(triangle_graph(), alpha=1e308)
+    with pytest.raises(ValueError, match=r"^F\(y0\) = inf is not finite: alpha = 1e\+308 "):
+        run(prob, SolverConfig(max_iters=3))
 
 
 # -- scripted scalar-problem step oracle --------------------------------------

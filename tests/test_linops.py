@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specbundle import ConstraintMap, DimensionError, RankError, linops
 from specbundle.linops import orthonormalize, symmetrize, top_eigs
@@ -182,19 +184,64 @@ def test_slack_is_bitwise_C_minus_the_adjoint():
 
 
 def test_map_construction_errors():
-    with pytest.raises(ValueError):
-        ConstraintMap.from_triples(3, [[(0, 1, 1.0), (1, 0, 2.0)]])  # duplicate
-    with pytest.raises(DimensionError):
-        ConstraintMap.from_triples(3, [[(0, 3, 1.0)]])               # out of range
-    with pytest.raises(DimensionError):
-        ConstraintMap.from_triples(3, [])                            # no constraints
-    with pytest.raises(DimensionError):
-        ConstraintMap.from_triples(0, [[(0, 0, 1.0)]])
+    # from_triples' own refusals are in the table below
     amap = ConstraintMap.from_triples(3, [[(0, 0, 1.0)]])
     with pytest.raises(DimensionError):
         amap.apply(np.zeros((2, 2)))
     with pytest.raises(DimensionError):
         amap.adjoint(np.zeros(2))
+
+
+@st.composite
+def _triples(draw):
+    """An order n and 1-4 per-constraint lists of (i, j, v), each pair in
+    either order and at most once per constraint, values including -0.0."""
+    n = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    value = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+    entries = st.lists(st.tuples(pair, value), max_size=6,
+                       unique_by=lambda e: tuple(sorted(e[0])))
+    lists = draw(st.lists(entries, min_size=1, max_size=4))
+    return n, [[(i, j, v) for (i, j), v in e] for e in lists]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_triples())
+@example((3, [[]]))
+@example((2, [[(1, 0, -0.0)], [(0, 1, 2.5), (1, 1, -0.0)]]))
+def test_from_triples_is_the_array_constructor_on_normalized_arrays(case):
+    n, triples = case
+    flat = [(k, *((i, j) if i <= j else (j, i)), v)
+            for k, entries in enumerate(triples) for i, j, v in entries]
+    arrays = [np.array([e[c] for e in flat], dtype=float if c == 3 else np.intp)
+              for c in range(4)]
+    want = ConstraintMap(n, len(triples), *arrays)
+    got = ConstraintMap.from_triples(n, triples)
+    assert (got.n, got.m) == (want.n, want.m)
+    for name in ("idx", "row", "col", "val"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
+
+
+@pytest.mark.parametrize("n,triples,message", [
+    (3, [[(0.7, 1.9, 1.0)]], "constraint map row must hold integers, got float64"),
+    (3, [[(2, True, 1.0)]], "constraint map row must hold integers, got bool"),
+    (3, [[("1", 0, 1.0)]], "constraint map row must hold integers, got <U1"),
+    (3, [[(0, 3, 1.0)]], "constraint map entry 0 (constraint 0, (0, 3), value 1.0): "
+     "coordinate outside the order-3 matrix"),
+    # swapped into the upper triangle before the constructor sees it
+    (3, [[(1, 1, 1.0)], [(2, 2, 1.0), (5, -1, 2.0)]], "constraint map entry 2 "
+     "(constraint 1, (-1, 5), value 2.0): coordinate outside the order-3 matrix"),
+    (3, [], "constraint map m must be positive, got 0"),
+    (0, [[(0, 0, 1.0)]], "constraint map n must be positive, got 0"),
+    # the same coordinate in two constraints is fine; within one it is not
+    (3, [[(0, 1, 1.0)], [(2, 2, 1.0), (0, 1, 1.0), (1, 0, 2.0)]],
+     "constraint 1: duplicate coordinate (0,1)"),
+], ids=["float", "bool", "string", "outside", "outside-after-swap", "no-constraints",
+        "order-zero", "repeated"])
+def test_from_triples_refuses_with_the_constructor_message(n, triples, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ConstraintMap.from_triples(n, triples)
 
 
 def _entries(**changed):

@@ -125,10 +125,14 @@ class ConstraintMap:
     val: np.ndarray
 
     def __post_init__(self):
-        """Refuse in O(nnz) what the methods would misread: sizes n and m
-        that are not positive integers, arrays of unequal length, non-integer
-        indices, and (naming the first) an entry outside the m constraints or
-        order-n matrix, below the diagonal or non-finite."""
+        """Refuse what the methods would misread: sizes n and m that are
+        not positive integers, arrays of unequal length, non-integer
+        indices, (naming the first) an entry outside the m constraints or
+        order-n matrix, below the diagonal or non-finite, and then (naming
+        the first in storage order) an entry whose coordinate an earlier
+        entry of its constraint holds.  The repeat test sorts the entries
+        unless idx is strictly increasing, so a map with one entry per
+        constraint, as every builder's is, is checked in O(nnz)."""
         check_field("constraint map n", self.n, INTEGER, *POSITIVE)
         check_field("constraint map m", self.m, INTEGER, *POSITIVE)
         for name in ("idx", "row", "col", "val"):
@@ -149,6 +153,14 @@ class ConstraintMap:
                    else "below the diagonal (row > col)" if r > c else "value is not finite")
             raise ValueError(f"constraint map entry {k} (constraint {i}, ({r}, {c}), "
                              f"value {v}): {why}")
+        if not (idx[1:] > idx[:-1]).all():
+            order = np.lexsort((col, row, idx))     # stable: storage order among equals
+            a, b = order[:-1], order[1:]
+            again = b[(idx[a] == idx[b]) & (row[a] == row[b]) & (col[a] == col[b])]
+            if again.size:
+                k = again.min()
+                raise ValueError(f"constraint {idx[k]}: duplicate coordinate "
+                                 f"({row[k]},{col[k]})")
 
     @classmethod
     def from_triples(cls, n, triples):
@@ -156,8 +168,7 @@ class ConstraintMap:
 
         Each coordinate is swapped into the upper triangle and the
         coordinates go to the constructor as ``np.asarray`` converts them,
-        so they meet its checks uncast; a coordinate repeated within one
-        constraint is then refused.
+        so they meet its checks, the repeat refusal included, uncast.
         """
         triples = list(triples)
         kk, rr, cc, vv = [], [], [], []
@@ -172,14 +183,8 @@ class ConstraintMap:
                 cc.append(j)
                 vv.append(v)
         empty = np.zeros(0, dtype=np.intp)   # np.asarray([]) is float64
-        amap = cls(n=n, m=len(triples), idx=np.asarray(kk, dtype=np.intp),
+        return cls(n=n, m=len(triples), idx=np.asarray(kk, dtype=np.intp),
                    row=np.asarray(rr or empty), col=np.asarray(cc or empty), val=vv)
-        seen = set()
-        for key in zip(amap.idx.tolist(), amap.row.tolist(), amap.col.tolist()):
-            if key in seen:
-                raise ValueError("constraint {}: duplicate coordinate ({},{})".format(*key))
-            seen.add(key)
-        return amap
 
     # -- forward map ---------------------------------------------------
 
@@ -353,8 +358,10 @@ def _product_operator():
 
 def _top_eigs_sparse(M, r):
     """``top_eigs`` of a sparse symmetric matrix by ARPACK's ``eigsh``
-    (``which="LA"``), always started from ``gaussian_matrix(0, (n,))``, since
-    ARPACK's own random start gives different bits on repeated calls.
+    (``which="LA"``), always started from ``gaussian_matrix(0, (n,))`` and
+    with ``rng=0`` for the restart vectors ARPACK asks for when its Krylov
+    space is invariant, since ARPACK's own random draws give different
+    bits on repeated calls.
 
     Inexactness: the top Ritz value theta1 is at most lambda_max, so an
     objective ``alpha * max(theta1, 0)`` can be low by up to
@@ -385,7 +392,7 @@ def _top_eigs_sparse(M, r):
     try:
         vals, vecs = eigsh(_product_operator()(M), k=r, which="LA", tol=_EIGSH_RES_TOL,
                            v0=gaussian_matrix(0, (n,)), ncv=ncv,
-                           maxiter=max(1, 4 * n // (ncv - r)))
+                           maxiter=max(1, 4 * n // (ncv - r)), rng=0)
     except ArpackNoConvergence as exc:
         why = f"ARPACK did not converge ({exc})"
     except ArpackError as exc:

@@ -41,6 +41,11 @@ from .sketch import SketchState
 # above this order the objective's eigensolve runs Lanczos on a CSR slack
 _SPARSE_ABOVE_N = 400
 
+# the cost matrix's one rule, in either storage
+_HALF_MAX = np.finfo(float).max / 2
+_COST_RULE = ("cost matrix must be symmetric bit for bit, "
+              "with every entry at most half the largest double in magnitude")
+
 
 @dataclass(frozen=True, eq=False)
 class SdpProblem:
@@ -49,21 +54,19 @@ class SdpProblem:
     alpha is the trace penalty; the dual objective below is exact once
     alpha >= 2 * ||X*||_nuclear for some primal solution X*.
 
-    Up to order ``_SPARSE_ABOVE_N`` the stored C is a dense array,
-    ``symmetrize(C)`` bit for bit (a scipy.sparse C is densified first).
-    A C-contiguous float64 C that it would leave unchanged (bitwise
-    symmetric, every entry at most half the largest double in magnitude,
-    so no sum overflows) is stored without a copy, as a float64 b is: the
-    caller must not mutate either afterwards.  Any other C must be
-    symmetric to an absolute tolerance of ``1e-12 * max(1, max |C_ij|)``
-    per entry.
+    C, dense or scipy.sparse, must be symmetric bit for bit with every
+    entry at most half the largest double in magnitude, so that no sum of
+    two entries overflows; any other C is refused with ``_COST_RULE``.
+    A scipy.sparse C is tested as it is, where an entry not stored reads
+    as +0.0.  The stored C holds the caller's values.  Up to order
+    ``_SPARSE_ABOVE_N`` it is a dense array (a scipy.sparse C's
+    ``toarray()``); a C-contiguous float64 C is stored without a copy, as
+    a float64 b is: the caller must not mutate either afterwards.
 
     Above that order the stored C is a canonical float64 ``csr_matrix``
-    (sorted indices, no duplicates).  A dense C is checked as above and
-    its nonzero entries are stored.  A scipy.sparse C must pass the
-    bitwise and range test as it is; a canonical float64 ``csr_matrix``
-    that does is stored without a copy, sharing its arrays, which the
-    caller must not mutate afterwards.
+    (sorted indices, no duplicates) holding a dense C's nonzero entries; a
+    canonical float64 ``csr_matrix`` is stored without a copy, sharing its
+    arrays, which the caller must not mutate afterwards.
     """
 
     C: np.ndarray        # a scipy.sparse csr_matrix above _SPARSE_ABOVE_N
@@ -75,19 +78,18 @@ class SdpProblem:
         n = self.A.n
         # a sparse C means scipy.sparse is loaded; the dense path never loads it
         sparse = "scipy.sparse" in sys.modules and sys.modules["scipy.sparse"].issparse(self.C)
-        if sparse and n > _SPARSE_ABOVE_N:
+        if sparse:
             C = _checked_csr(self.C, n)
+            if n <= _SPARSE_ABOVE_N:
+                C = C.toarray()
         else:
-            C = np.ascontiguousarray(self.C.toarray() if sparse else self.C, dtype=float)
+            C = np.ascontiguousarray(self.C, dtype=float)
             if C.shape != (n, n):
                 raise DimensionError(f"cost matrix shape {C.shape} does not match map order {n}")
             # a NaN fails the range test, and -0.0 against +0.0 the bitwise one
-            half = np.finfo(float).max / 2
-            if not (-half <= C.min() and C.max() <= half
+            if not (-_HALF_MAX <= C.min() and C.max() <= _HALF_MAX
                     and np.array_equal(C.view(np.int64), C.T.view(np.int64))):
-                if not np.allclose(C, C.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(C).max())):
-                    raise ValueError("cost matrix must be symmetric")
-                C = symmetrize(C)
+                raise ValueError(_COST_RULE)
             if n > _SPARSE_ABOVE_N:
                 import scipy.sparse
 
@@ -160,10 +162,9 @@ class SdpProblem:
 
 def _checked_csr(C, n):
     """The scipy.sparse ``C`` as a canonical float64 ``csr_matrix``, the
-    given object when it is one.  Raises unless C is n x n, every stored
-    entry is at most half the largest double in magnitude, and the matrix
-    is bitwise symmetric: the entries whose bits are not those of +0.0,
-    the value of an entry not stored, are the same under transposition."""
+    given object when it is one.  Raises unless C is n x n and meets
+    ``_COST_RULE``: the entries whose bits are not those of +0.0, the
+    value of an entry not stored, are the same under transposition."""
     import scipy.sparse
 
     if C.shape != (n, n):
@@ -178,11 +179,10 @@ def _checked_csr(C, n):
     cols = C.indices[keep].astype(np.int64)
     mirror = np.argsort(cols * n + rows)      # row-major order of the transpose
     # a NaN fails the range test
-    if not (np.abs(C.data).max(initial=0.0) <= np.finfo(float).max / 2
+    if not (np.abs(C.data).max(initial=0.0) <= _HALF_MAX
             and np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)
             and np.array_equal(bits[mirror], bits)):
-        raise ValueError("sparse cost matrix must be symmetric bit for bit, "
-                         "with every entry at most half the largest double in magnitude")
+        raise ValueError(_COST_RULE)
     return C
 
 

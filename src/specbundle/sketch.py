@@ -114,23 +114,14 @@ def sketch_reconstruct(st):
     (Yc, Yr) alone.
 
     Orthonormalize the column sketch, solve the small least-squares system
-    against the row sketch through a pseudoinverse (singular values below
-    1e-10 of the largest are treated as zero), then truncate to rank r.
+    against the row sketch to minimum norm (singular values at most 1e-10
+    of the largest are treated as zero), then truncate to rank r.
     """
     if np.abs(st.Yc).max() == 0.0:
         z = np.zeros((st.n, st.r))
         return LowRankFactors(left=z, weights=np.zeros(st.r), right=z.T)
     Q, _ = scipy.linalg.qr(st.Yc, mode="economic")
-    B = _pinv_solve(st.Phi @ Q, st.Yr)
+    B = scipy.linalg.lstsq(st.Phi @ Q, st.Yr, cond=1e-10)[0]
     U, s, Vt = scipy.linalg.svd(B, full_matrices=False)
     r = min(st.r, s.size)
     return LowRankFactors(left=Q @ U[:, :r], weights=s[:r], right=Vt[:r])
-
-
-def _pinv_solve(A, B):
-    """pinv(A) @ B, singular values below 1e-10 of the largest dropped."""
-    U, s, Vt = scipy.linalg.svd(A, full_matrices=False)
-    keep = s > 1e-10 * s[0]
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (Vt.T * inv) @ (U.T @ B)

@@ -280,15 +280,40 @@ def test_map_refuses_entries_it_would_misread(changed, message):
         ConstraintMap(**_entries(**changed))
 
 
-def test_builder_maps_pass_the_entry_checks_without_a_copy():
+@pytest.mark.parametrize("idx,row,col,message", [
+    ([0, 0], [0, 0], [1, 1], "constraint 0: duplicate coordinate (0,1)"),
+    # sorted by key, the repeat of (0, 1) in constraint 0 (entry 4) comes
+    # first; in storage order the repeat of (2, 2) in constraint 1 (entry 3)
+    ([1, 0, 0, 1, 0], [2, 1, 0, 2, 0], [2, 1, 1, 2, 1],
+     "constraint 1: duplicate coordinate (2,2)"),
+    # one coordinate in two constraints, in either order, is no repeat
+    ([0, 1], [0, 0], [1, 1], None),
+    ([1, 0], [0, 0], [1, 1], None),
+], ids=["repeat", "first-in-storage-order", "shared", "shared-unsorted"])
+def test_map_refuses_a_coordinate_repeated_within_a_constraint(idx, row, col, message):
+    fields = dict(n=3, m=2, idx=np.array(idx), row=np.array(row), col=np.array(col),
+                  val=np.arange(1.0, len(idx) + 1))
+    if message is None:
+        ConstraintMap(**fields)
+    else:
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ConstraintMap(**fields)
+
+
+def test_builder_maps_pass_the_entry_checks_without_a_copy(monkeypatch):
     from specbundle.bench import build_completion, build_maxcut, gen_completion, gen_er_graph
+    amap = ConstraintMap(**_entries())
+    assert amap.apply(np.eye(402)).tolist() == [1.0, 3.0]
+    # one entry per constraint, idx strictly increasing: the repeat test
+    # compares neighbours and never sorts
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the repeat test sorted a builder's map")
+    monkeypatch.setattr(linops.np, "lexsort", no_sort)
     for prob in (build_maxcut(gen_er_graph(402, 0.02, 0)),
                  build_completion(gen_completion(8, 2, 0.5, 0))):
         A = prob.A
         again = ConstraintMap(n=A.n, m=A.m, idx=A.idx, row=A.row, col=A.col, val=A.val)
         assert all(getattr(again, k) is getattr(A, k) for k in ("idx", "row", "col", "val"))
-    amap = ConstraintMap(**_entries())
-    assert amap.apply(np.eye(402)).tolist() == [1.0, 3.0]
 
 
 # -- eigensolves ------------------------------------------------------------
@@ -395,6 +420,20 @@ def test_top_eigs_sparse_matches_dense():
         assert np.abs(vs - vd).max() <= 1e-12 * np.abs(vd).max()
         assert np.abs(Vs[:, 0] - Vd[:, 0]).max() <= 1e-8
 
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_top_eigs_sparse_is_repeatable_when_arpack_asks_for_a_restart_vector(seed):
+    # a rank-5 matrix: the Krylov space goes invariant after five products
+    # and ARPACK asks for a random restart vector, which eigsh drew from
+    # fresh entropy unless given an rng
+    B = np.random.default_rng(seed).standard_normal((5, 5))
+    D = np.zeros((450, 450))
+    D[:5, :5] = B + B.T
+    M = scipy.sparse.csr_matrix(D)
+    first = linops._top_eigs_sparse(M, 3)
+    for _ in range(3):
+        again = linops._top_eigs_sparse(M, 3)
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in first]
 
 
 def test_top_eigs_sparse_frees_its_matrix_without_a_cyclic_collection():

@@ -1,5 +1,6 @@
 """Penalized dual objective and cutting-model checks."""
 
+import re
 import warnings
 
 import numpy as np
@@ -147,16 +148,37 @@ def test_problem_validation():
         SdpProblem(C=np.eye(3), A=amap, b=np.array([1.0]), alpha=1.0)
     with pytest.raises(Exception):
         SdpProblem(C=np.eye(2), A=amap, b=np.array([1.0, 2.0]), alpha=1.0)
-    # an asymmetry at roundoff level is symmetrized; the tolerance is
-    # absolute, 1e-12 * max(1, max |C_ij|), so 5e-6 is refused like a
-    # gross asymmetry, and so is a NaN
-    C = np.array([[1.0, np.nextafter(1.0, 2.0)], [1.0, 1.0]])
-    stored = SdpProblem(C=C, A=amap, b=np.array([1.0]), alpha=1.0).C
-    assert stored.tobytes() == symmetrize(C).tobytes() and stored[0, 1] != C[0, 1]
-    for bad in ([[1.0, 1.0 + 5e-6], [1.0, 1.0]], [[1.0, 2.0], [0.0, 1.0]],
-                [[1.0, np.nan], [np.nan, 1.0]]):
-        with pytest.raises(ValueError, match="must be symmetric"):
+    # an asymmetry at roundoff level is refused like a gross one, and so
+    # is a NaN
+    for bad in ([[1.0, np.nextafter(1.0, 2.0)], [1.0, 1.0]], [[1.0, 1.0 + 5e-6], [1.0, 1.0]],
+                [[1.0, 2.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="^" + re.escape(model._COST_RULE) + "$"):
             SdpProblem(C=np.array(bad), A=amap, b=np.array([1.0]), alpha=1.0)
+
+
+_HALF = np.finfo(float).max / 2
+
+
+@pytest.mark.parametrize("entries", [
+    [(0, 0, 1.0), (0, 1, np.nextafter(1.0, 2.0)), (1, 0, 1.0), (1, 1, 1.0)],
+    # stored as CSR, the +0.0 at (1, 0) is the entry left out
+    [(0, 0, 1.0), (0, 1, -0.0), (1, 1, 1.0)],
+    [(0, 0, 1e308), (1, 1, 1.0)],
+    [(0, 0, np.nextafter(_HALF, np.inf))],
+], ids=["roundoff", "signed-zero", "1e308", "above-half"])
+@pytest.mark.parametrize("n", [2, model._SPARSE_ABOVE_N + 1])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_cost_matrix_has_one_rule_in_either_storage(entries, n, storage):
+    # each is refused with one message whatever its order and storage
+    amap = ConstraintMap.from_triples(n, [[(0, 0, 1.0)]])
+    if storage == "dense":
+        C = np.zeros((n, n))
+        for i, j, v in entries:
+            C[i, j] = v
+    else:
+        C = _csr(n, entries)
+    with pytest.raises(ValueError, match="^" + re.escape(model._COST_RULE) + "$"):
+        SdpProblem(C=C, A=amap, b=np.array([1.0]), alpha=1.0)
 
 
 @pytest.mark.parametrize("alpha,want", [
@@ -186,22 +208,19 @@ def test_cost_is_stored_as_symmetrize_leaves_it():
     prob = SdpProblem(C=C, A=amap, b=b, alpha=1.0)
     assert prob.C is C and C.tobytes() == symmetrize(C).tobytes()
     # equal as numbers but not as bits (+0.0 against -0.0), or an entry
-    # above half the largest double: stored as symmetrize(C), +0.0 in both
-    # places and inf where the doubling overflows
-    with np.errstate(over="ignore"):
-        for i, j, v in ((0, 1, -0.0), (2, 1, -0.0), (2, 2, np.nextafter(half, np.inf)),
-                        (0, 0, -np.finfo(float).max)):
-            D = np.zeros((3, 3))
-            D[i, j] = v
-            prob = SdpProblem(C=D, A=amap, b=b, alpha=1.0)
-            assert prob.C is not D and prob.C.tobytes() == symmetrize(D).tobytes()
-        assert prob.C[0, 0] == -np.inf
+    # above half the largest double in magnitude: refused
+    for i, j, v in ((0, 1, -0.0), (2, 1, -0.0), (2, 2, np.nextafter(half, np.inf)),
+                    (0, 0, -np.finfo(float).max)):
+        D = np.zeros((3, 3))
+        D[i, j] = v
+        with pytest.raises(ValueError, match="^" + re.escape(model._COST_RULE) + "$"):
+            SdpProblem(C=D, A=amap, b=b, alpha=1.0)
     assert np.signbit(SdpProblem(C=-np.zeros((3, 3)), A=amap, b=b, alpha=1.0).C).all()
     # other layouts and dtypes are copied to a C-contiguous float64 array
     E = np.asfortranarray(np.arange(9.0).reshape(3, 3) + np.arange(9.0).reshape(3, 3).T)
     for given in (E, E.astype(np.float32), E.astype(int)):
         stored = SdpProblem(C=given, A=amap, b=b, alpha=1.0).C
-        assert stored.flags.c_contiguous and stored.tobytes() == symmetrize(E).tobytes()
+        assert stored.flags.c_contiguous and stored.tobytes() == E.tobytes()
 
 
 def _sparse_order_map():
@@ -245,22 +264,21 @@ def test_cost_storage_follows_the_order():
         assert type(stored) is scipy.sparse.csr_matrix and stored.dtype == np.float64
         assert stored.has_canonical_format and (stored != C).nnz == 0
     assert dup.nnz == 3
-    # a dense C above the order is checked and symmetrized as below it and
-    # stored as CSR with its nonzero entries, so its -0.0 is not kept
+    # a dense C above the order is checked as below it and stored as CSR
+    # with its nonzero entries, so its -0.0 is not kept
     D = np.zeros((n, n))
-    D[0, 1], D[1, 0], D[2, 2] = 1.0, np.nextafter(1.0, 2.0), -0.0
+    D[0, 1], D[1, 0], D[2, 2] = 1.0, 1.0, -0.0
     stored = SdpProblem(C=D, A=amap, b=b, alpha=1.0).C
-    want = symmetrize(D)
+    want = D.copy()
     want[2, 2] = 0.0
     assert type(stored) is scipy.sparse.csr_matrix and stored.nnz == 2
     assert stored.toarray().tobytes() == want.tobytes()
-    # a sparse C at or below the order is stored as its dense array is
+    # a sparse C at or below the order is tested as sparse and stored as
+    # its dense array
     small = ConstraintMap.from_triples(3, [[(0, 0, 1.0)]])
-    for given in (_csr(3, [(0, 1, 1.0), (1, 0, 1.0), (2, 2, -0.0)]),
-                  _csr(3, [(0, 1, 1.0), (1, 0, np.nextafter(1.0, 2.0))])):
-        stored = SdpProblem(C=given, A=small, b=b, alpha=1.0).C
-        want = SdpProblem(C=given.toarray(), A=small, b=b, alpha=1.0).C
-        assert isinstance(stored, np.ndarray) and stored.tobytes() == want.tobytes()
+    given = _csr(3, [(0, 1, 1.0), (1, 0, 1.0), (2, 2, -0.0)])
+    stored = SdpProblem(C=given, A=small, b=b, alpha=1.0).C
+    assert isinstance(stored, np.ndarray) and stored.tobytes() == given.toarray().tobytes()
 
 
 # -- sparse slack and Lanczos eigensolve -----------------------------------

@@ -251,13 +251,11 @@ class ConstraintMap:
     # -- compression ---------------------------------------------------
 
     def congruence(self, V):
-        """Stack of compressed constraints V^T A_k V, shape (m, p, p), at a
-        cost that scales with nnz * p^2, never with n^2."""
+        """Stack of compressed constraints V^T A_k V, shape (m, p, p), of an
+        (n, p) basis V, at a cost that scales with nnz * p^2, never with n^2."""
         V = np.asarray(V, dtype=float)
-        if V.ndim == 1:
-            V = V[:, None]
-        if V.shape[0] != self.n:
-            raise DimensionError(f"expected basis with {self.n} rows, got {V.shape[0]}")
+        if V.ndim != 2 or V.shape[0] != self.n:
+            raise DimensionError(f"expected a basis of shape ({self.n}, p), got shape {V.shape}")
         p = V.shape[1]
         Vr = V[self.row]
         Vc = V[self.col]

@@ -59,9 +59,10 @@ class SdpProblem:
     two entries overflows; any other C is refused with ``_COST_RULE``.
     A scipy.sparse C is tested as it is, where an entry not stored reads
     as +0.0.  The stored C holds the caller's values.  Up to order
-    ``_SPARSE_ABOVE_N`` it is a dense array (a scipy.sparse C's
-    ``toarray()``); a C-contiguous float64 C is stored without a copy, as
-    a float64 b is: the caller must not mutate either afterwards.
+    ``_SPARSE_ABOVE_N`` it is a dense array: a scipy.sparse C's stored
+    entries keep their bits, a -0.0 included, and the others read +0.0; a
+    C-contiguous float64 C is stored without a copy, as a float64 b is:
+    the caller must not mutate either afterwards.
 
     Above that order the stored C is a canonical float64 ``csr_matrix``
     (sorted indices, no duplicates) holding a dense C's nonzero entries; a
@@ -81,7 +82,11 @@ class SdpProblem:
         if sparse:
             C = _checked_csr(self.C, n)
             if n <= _SPARSE_ABOVE_N:
-                C = C.toarray()
+                # each stored entry written as it is: toarray() would add
+                # it into +0.0 and so turn a stored -0.0 into +0.0
+                dense = np.zeros(n * n)
+                dense[_csr_positions(C)] = C.data
+                C = dense.reshape(n, n)
         else:
             C = np.ascontiguousarray(self.C, dtype=float)
             if C.shape != (n, n):
@@ -114,7 +119,8 @@ class SdpProblem:
 
     @cached_property
     def _slack_pattern(self):
-        """The structure of ``A* y - C`` in CSR form.
+        """The structure of ``A* y - C`` in CSR form, read from the CSR C
+        stored above order ``_SPARSE_ABOVE_N``.
 
         Returns ``(src, cvals, indices, indptr)``: stored entry ``e``
         (row-major, both triangles, the union of C's nonzeros and the
@@ -125,11 +131,7 @@ class SdpProblem:
         """
         n = self.n
         keys, mirror, _ = self.A._positions
-        C = self.C
-        if isinstance(C, np.ndarray):
-            stored, data = np.arange(n * n), C.ravel()
-        else:
-            stored, data = np.repeat(np.arange(n) * n, np.diff(C.indptr)) + C.indices, C.data
+        stored, data = _csr_positions(self.C), self.C.data
         lin = np.union1d(stored[data != 0], np.concatenate([keys, mirror]))
         at = np.searchsorted(stored, lin)
         cvals = np.where(np.append(stored, -1)[at] == lin, np.append(data, 0.0)[at], 0.0)
@@ -160,6 +162,12 @@ class SdpProblem:
                                        shape=(self.n, self.n))
 
 
+def _csr_positions(C):
+    """The row-major position ``i * n + j`` of each stored entry of the
+    CSR matrix ``C``, in storage order."""
+    return np.repeat(np.arange(C.shape[0]) * C.shape[0], np.diff(C.indptr)) + C.indices
+
+
 def _checked_csr(C, n):
     """The scipy.sparse ``C`` as a canonical float64 ``csr_matrix``, the
     given object when it is one.  Raises unless C is n x n and meets
@@ -175,8 +183,7 @@ def _checked_csr(C, n):
         C.sum_duplicates()
     bits = C.data.view(np.int64)
     keep = bits != 0
-    bits, rows = bits[keep], np.repeat(np.arange(n), np.diff(C.indptr))[keep]
-    cols = C.indices[keep].astype(np.int64)
+    bits, (rows, cols) = bits[keep], np.divmod(_csr_positions(C)[keep], n)
     mirror = np.argsort(cols * n + rows)      # row-major order of the transpose
     # a NaN fails the range test
     if not (np.abs(C.data).max(initial=0.0) <= _HALF_MAX

@@ -78,13 +78,12 @@ def sketch_init(n, r, seed):
 
 
 def sketch_update(st, scale, V, S):
-    """Absorb the update  X' = scale * X + V S V^T  into both sketches."""
+    """Absorb the update  X' = scale * X + V S V^T  into both sketches, for
+    an (n, p) factor V and a (p, p) core S."""
     V = np.asarray(V, dtype=float)
-    if V.ndim == 1:
-        V = V[:, None]
-    S = np.atleast_2d(np.asarray(S, dtype=float))
-    if V.shape[0] != st.n:
-        raise DimensionError(f"expected factor with {st.n} rows, got {V.shape[0]}")
+    S = np.asarray(S, dtype=float)
+    if V.ndim != 2 or V.shape[0] != st.n:
+        raise DimensionError(f"expected a factor of shape ({st.n}, p), got shape {V.shape}")
     if S.shape != (V.shape[1], V.shape[1]):
         raise DimensionError(f"core shape {S.shape} does not match factor width {V.shape[1]}")
     Yc = V @ (S @ (V.T @ st.Psi)) + scale * st.Yc

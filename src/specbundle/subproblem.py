@@ -101,14 +101,14 @@ def project_simplex_hull(v):
 
 
 def project_psd_simplex_hull(eta0, S0):
-    """Project (eta0, S0) onto { eta >= 0, S psd, eta + tr(S) <= 1 }; a
-    vector ``eta0`` of length c with a (c, p, p) stack ``S0`` gives the c
-    projections as a vector and a stack, each bit for bit its own.  Each
+    """Project (eta0, S0) onto { eta >= 0, S psd, eta + tr(S) <= 1 } for a
+    scalar ``eta0`` and a (p, p) matrix ``S0``; a vector ``eta0`` of length
+    c with a (c, p, p) stack ``S0`` gives the c projections as a vector and
+    a stack, each bit for bit its own.  Any other ``S0`` is refused.  Each
     matrix takes one ``dsyevr`` call, then ``_simplex_hull_row`` on eta
     and its eigenvalues, then the rebuild Q diag(x) Q^T."""
     S0 = np.asarray(S0, dtype=float)
-    S0 = S0 if S0.ndim >= 2 else np.atleast_2d(S0)
-    if S0.ndim > 3 or S0.shape[-1] != S0.shape[-2] or not S0.shape[-1]:
+    if not 2 <= S0.ndim <= 3 or S0.shape[-1] != S0.shape[-2] or not S0.shape[-1]:
         raise DimensionError(f"expected nonempty square matrices, got shape {S0.shape}")
     if S0.ndim == 3:
         return _project_psd_stack(np.asarray(eta0, dtype=float), S0)
@@ -166,10 +166,8 @@ class InnerProblem:
     @classmethod
     def build(cls, prob, agg, V, y, rho):
         V = np.asarray(V, dtype=float)
-        if V.ndim == 1:
-            V = V[:, None]
+        T = prob.A.congruence(V)        # first: it refuses a V that is not (n, p)
         y = np.asarray(y, dtype=float)
-        T = prob.A.congruence(V)
         VCV = symmetrize(V.T @ prob.C @ V)
         ip = cls(y=y, rho=float(rho), V=V, b=prob.b, alpha=prob.alpha,
                  AX=agg.AX, c_eta=agg.CX - float(agg.AX @ y),

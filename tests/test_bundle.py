@@ -490,7 +490,7 @@ def test_subgradient_is_bitwise_the_congruence_form():
         prob = rand_problem(rng, n=7, m=int(rng.integers(1, 12)))
         v = rng.normal(size=7)
         v[rng.random(7) < 0.3] = -0.0
-        want = -prob.b + prob.alpha * prob.A.congruence(v)[:, 0, 0]
+        want = -prob.b + prob.alpha * prob.A.congruence(v[:, None])[:, 0, 0]
         assert subgradient_at(prob, 1.5, v).tobytes() == want.tobytes()
 
 

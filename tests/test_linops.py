@@ -166,7 +166,7 @@ def test_apply_outer_is_bitwise_apply_of_the_outer_product():
         v[rng.random(8) < 0.3] = -0.0
         want = amap.apply(np.outer(v, v))
         assert amap.apply_outer(v).tobytes() == want.tobytes()
-        assert amap.apply_outer(v).tobytes() == amap.congruence(v)[:, 0, 0].tobytes()
+        assert amap.apply_outer(v).tobytes() == amap.congruence(v[:, None])[:, 0, 0].tobytes()
     with pytest.raises(DimensionError):
         amap.apply_outer(np.ones(7))
 
@@ -495,15 +495,6 @@ def test_orthonormalize_matches_gram_schmidt_span():
 def test_orthonormalize_zero_input_raises():
     with pytest.raises(RankError):
         orthonormalize(np.zeros((4, 2)))
-
-
-def test_congruence_of_a_1d_basis_is_that_of_its_column():
-    rng = np.random.default_rng(41)
-    amap = rand_sparse_map(rng, 7, 5)
-    v = rng.normal(size=7)
-    T = amap.congruence(v)
-    assert T.shape == (5, 1, 1)
-    assert T.tobytes() == amap.congruence(v[:, None]).tobytes()
 
 
 def test_lapack_failures_in_the_eigensolves_raise(monkeypatch):

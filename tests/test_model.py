@@ -273,26 +273,51 @@ def test_cost_storage_follows_the_order():
     want[2, 2] = 0.0
     assert type(stored) is scipy.sparse.csr_matrix and stored.nnz == 2
     assert stored.toarray().tobytes() == want.tobytes()
-    # a sparse C at or below the order is tested as sparse and stored as
-    # its dense array
+    # a sparse C at or below the order is tested as sparse and stored as a
+    # dense array with the bits of each stored entry, its -0.0 included
     small = ConstraintMap.from_triples(3, [[(0, 0, 1.0)]])
     given = _csr(3, [(0, 1, 1.0), (1, 0, 1.0), (2, 2, -0.0)])
     stored = SdpProblem(C=given, A=small, b=b, alpha=1.0).C
-    assert isinstance(stored, np.ndarray) and stored.tobytes() == given.toarray().tobytes()
+    want = np.zeros((3, 3))
+    want[0, 1], want[1, 0], want[2, 2] = 1.0, 1.0, -0.0
+    assert isinstance(stored, np.ndarray) and stored.tobytes() == want.tobytes()
+
+
+def test_a_sparse_cost_at_or_below_the_order_keeps_a_stored_negative_zero():
+    small = ConstraintMap.from_triples(3, [[(0, 0, 1.0)]])
+    stored = SdpProblem(C=_csr(3, [(2, 2, -0.0)]), A=small, b=np.ones(1), alpha=1.0).C
+    assert np.signbit(stored[2, 2]) and not np.signbit(stored[:2]).any()
+
+
+def test_a_sparse_cost_storing_every_entry_keeps_the_dense_bits():
+    # the dense -L of max-cut holds -0.0 off the edges; a CSR that stores
+    # all n^2 of its entries must be stored with the same bytes
+    prob = build_maxcut(gen_er_graph(30, 0.2, 0))
+    n = prob.n
+    assert np.signbit(prob.C[prob.C == 0.0]).any()
+    full = scipy.sparse.csr_matrix((prob.C.ravel(), np.tile(np.arange(n), n),
+                                    np.arange(0, n * n + 1, n)),
+                                   shape=(n, n))
+    assert full.nnz == n * n
+    stored = SdpProblem(C=full, A=prob.A, b=prob.b, alpha=prob.alpha).C
+    assert isinstance(stored, np.ndarray) and stored.tobytes() == prob.C.tobytes()
 
 
 # -- sparse slack and Lanczos eigensolve -----------------------------------
 
-@pytest.mark.parametrize("prob", [
-    build_maxcut(gen_er_graph(80, 0.1, 3)),
-    build_completion(gen_completion(30, 2, 0.4, 1)),
-    rand_problem(np.random.default_rng(7), n=9, m=6),
+@pytest.mark.parametrize("build", [
+    lambda: build_maxcut(gen_er_graph(401, 0.02, 3)),
+    lambda: build_completion(gen_completion(201, 2, 0.05, 1)),
+    lambda: rand_problem(np.random.default_rng(7), n=401, m=6),
 ], ids=["maxcut", "completion", "random"])
-def test_csr_slack_equals_dense_slack_bitwise(prob):
+def test_csr_slack_equals_dense_slack_bitwise(build):
+    # each instance is above the order, so its C is stored as CSR
+    prob = build()
+    assert scipy.sparse.issparse(prob.C)
     rng = np.random.default_rng(8)
     for y in (np.zeros(prob.m), rng.normal(size=prob.m), rng.normal(size=prob.m) * 1e3):
         S = prob._neg_slack_csr(y).tocoo()
-        D = -prob.A.slack(prob.C, y)
+        D = -prob.A.slack(prob.C.toarray(), y)
         assert np.array_equal(S.data.view(np.int64), D[S.row, S.col].view(np.int64))
         off = np.ones(D.shape, dtype=bool)
         off[S.row, S.col] = False
@@ -329,7 +354,7 @@ def test_csr_slack_has_the_bits_of_the_dense_cost_slack(graph):
 
 
 def test_csr_slack_checks_y_shape():
-    prob = build_maxcut(gen_er_graph(10, 0.5, 0))
+    prob = build_maxcut(gen_er_graph(model._SPARSE_ABOVE_N + 1, 0.01, 0))
     with pytest.raises(ValueError):
         prob._neg_slack_csr(np.zeros(prob.m + 1))
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from specbundle import linops, subproblem
 from specbundle import (ConstraintMap, DimensionError, SdpProblem, SolverConfig, run,
-                        project_simplex_hull, solve_inner_apg, solve_subproblem)
+                        project_simplex_hull, sketch_init, sketch_update, solve_inner_apg,
+                        solve_subproblem)
 from specbundle.bench import build_maxcut, gen_er_graph, write_trace
 from specbundle.model import model_value, zero_aggregate
 from specbundle.subproblem import (InnerProblem, project_psd_simplex_hull,
@@ -1024,6 +1025,8 @@ def test_project_simplex_hull_refuses_a_non_vector(v, shape):
     (0.1, np.zeros((2, 3)), r"^expected nonempty square matrices, got shape \(2, 3\)$"),
     (0.1, np.zeros((1, 1, 2, 2)),
      r"^expected nonempty square matrices, got shape \(1, 1, 2, 2\)$"),
+    (0.2, 0.5, r"^expected nonempty square matrices, got shape \(\)$"),
+    (0.2, np.array([0.5]), r"^expected nonempty square matrices, got shape \(1,\)$"),
 ])
 def test_psd_hull_projection_refuses_mismatched_sizes(eta, S, match):
     with pytest.raises(DimensionError, match=match):
@@ -1077,15 +1080,33 @@ def test_traces_do_not_depend_on_workspace_cache_state(tmp_path):
                     == (warm / f"{variant}.csv").read_bytes())
 
 
-def test_subproblem_of_a_1d_basis_is_that_of_its_column():
-    """A 1-d basis goes through ``InnerProblem.build`` as one column."""
-    rng = np.random.default_rng(44)
-    prob, agg, V, y, rho = rand_setup(rng, n=7, m=5, p=1)
-    got = solve_subproblem(prob, agg, V[:, 0].copy(), y, rho)
-    want = solve_subproblem(prob, agg, V, y, rho)
-    assert got.ip.V.shape == (7, 1)
-    for name in ("eta", "S", "z", "AX", "CX", "tr", "value", "model_at_z", "residual"):
-        assert np.asarray(getattr(got, name)).tobytes() == np.asarray(getattr(want, name)).tobytes()
+def _refusal_setup():
+    prob = build_maxcut(gen_er_graph(30, 0.2, 0))
+    return prob, zero_aggregate(prob), sketch_init(30, 2, 0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda prob, agg, st: prob.A.congruence(np.ones(30)),
+     r"^expected a basis of shape \(30, p\), got shape \(30,\)$"),
+    (lambda prob, agg, st: prob.A.congruence(np.ones((30, 2, 2))),
+     r"^expected a basis of shape \(30, p\), got shape \(30, 2, 2\)$"),
+    (lambda prob, agg, st: solve_subproblem(prob, agg, np.ones(30), np.zeros(30), 1.0),
+     r"^expected a basis of shape \(30, p\), got shape \(30,\)$"),
+    (lambda prob, agg, st: solve_subproblem(prob, agg, np.ones((30, 1, 1)), np.zeros(30), 1.0),
+     r"^expected a basis of shape \(30, p\), got shape \(30, 1, 1\)$"),
+    (lambda prob, agg, st: sketch_update(st, 1.0, np.ones(30), np.eye(1)),
+     r"^expected a factor of shape \(30, p\), got shape \(30,\)$"),
+    (lambda prob, agg, st: sketch_update(st, 1.0, np.ones((30, 1, 1)), np.eye(1)),
+     r"^expected a factor of shape \(30, p\), got shape \(30, 1, 1\)$"),
+    (lambda prob, agg, st: sketch_update(st, 1.0, np.ones((30, 1)), 2.0),
+     r"^core shape \(\) does not match factor width 1$"),
+], ids=["congruence-1d", "congruence-3d", "subproblem-1d", "subproblem-3d",
+        "sketch-1d", "sketch-3d", "sketch-scalar-core"])
+def test_a_basis_not_n_by_p_or_a_core_not_p_by_p_is_refused(call, match):
+    """Bases are (n, p) and cores (p, p): a 1-d or 3-d basis, or a scalar
+    core, is refused with a message that names its shape."""
+    with pytest.raises(DimensionError, match=match):
+        call(*_refusal_setup())
 
 
 def test_lapack_failures_in_the_face_solves_raise(monkeypatch):
